@@ -5,17 +5,21 @@
 //! readable delta table, when:
 //!
 //! * the two reports are not **byte-identical** — the fleet path's
-//!   determinism contract (serial serving loop, thread-count-independent
-//!   pricing and aggregation) is load-bearing for record/replay and for
-//!   every committed QoS number;
+//!   determinism contract (serial serving loop that tallies as it
+//!   serves, thread-count-independent kernel pricing) is load-bearing
+//!   for record/replay and for every committed QoS number;
 //! * either report fails its own conservation ledger (offered =
 //!   completed + rejected, class/tenant histograms merge to the
-//!   aggregate, attribution records match completions); or
+//!   aggregate, attribution records match completions);
 //! * served requests/second falls below the committed baseline
 //!   `crates/bench/fleet_baseline.json` divided by `max_regression` — a
 //!   loose tripwire for "someone made the serving loop quadratic",
-//!   sized so shared-runner CPU throttling never trips it. (Re-record
-//!   deliberately, with the reason in the commit message.)
+//!   sized so shared-runner CPU throttling never trips it (re-record
+//!   deliberately, with the reason in the commit message); or
+//! * the process's peak resident set (`VmHWM` in `/proc/self/status`)
+//!   exceeds [`PEAK_RSS_CEILING_MIB`] — fleet memory is O(tenants), so
+//!   a serving loop that buffers per-request rows again trips it. The
+//!   check is skipped, with a note, where that file does not exist.
 //!
 //! ```sh
 //! fleet-guard crates/bench/fleet_baseline.json
@@ -54,6 +58,19 @@ util::json_struct!(FleetBaseline {
 
 const SCHEMA: u64 = 1;
 
+/// Peak resident set the guard process may reach, in MiB. Both guard
+/// runs together hold a few hundred tenant rows, not 2M request rows.
+const PEAK_RSS_CEILING_MIB: f64 = 32.0;
+
+/// The process's peak resident set in MiB (`VmHWM`), or `None` where
+/// `/proc/self/status` is unavailable.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 /// The fixed guard cell. Changing ANY field here re-shapes the work the
 /// baseline throughput was measured on — re-record in the same commit.
 fn guard_spec() -> FleetSpec {
@@ -71,7 +88,7 @@ fn guard_spec() -> FleetSpec {
         },
         kernels: vec![Kernel::Trisolv, Kernel::Durbin, Kernel::Jaco1d],
         seed: 4242,
-        requests: 10_000,
+        requests: 2_000_000,
         admit_ms: 25.0,
         erase_every_kb: 256,
         ..FleetSpec::example()
@@ -164,6 +181,17 @@ fn main() -> ExitCode {
         if let Err(e) = r.check_conservation() {
             failures.push(format!("{name} report fails conservation: {e}"));
         }
+    }
+    match peak_rss_mib() {
+        Some(peak) if peak > PEAK_RSS_CEILING_MIB => failures.push(format!(
+            "peak resident set {peak:.1} MiB exceeds the \
+             {PEAK_RSS_CEILING_MIB} MiB ceiling — fleet memory should be \
+             O(tenants), not O(requests)"
+        )),
+        Some(peak) => {
+            println!("peak resident set {peak:.1} MiB (ceiling {PEAK_RSS_CEILING_MIB} MiB)")
+        }
+        None => println!("peak resident set not checked: /proc/self/status is unavailable"),
     }
     if rps < floor {
         failures.push(format!(

@@ -23,16 +23,17 @@
 //! layer through the `sim-core` probe (tagged per tenant) plus the log2
 //! latency histograms per tenant and per QoS class.
 //!
-//! Determinism: the serving loop is serial and seeded; histogram
-//! aggregation fans out over a worker pool in *fixed-size chunks* whose
-//! boundaries do not depend on the thread count, and merges partials in
-//! submission order — so a fleet report is byte-identical at any
-//! thread count and replays entirely from its seed.
+//! Determinism: the serving loop is serial and seeded, and tallies
+//! each request into the class, tenant and aggregate histograms as it
+//! is served — integer sums, so a fleet report is byte-identical at any
+//! thread count and replays entirely from its seed. Memory is
+//! O(tenants), not O(requests).
 
 use std::collections::BTreeMap;
 
 use sim_core::probe::{AttrScope, Telemetry};
 use sim_core::time::Picos;
+use util::fxhash::FxHashMap;
 use util::json::{field, FromJson, Json, JsonError, ToJson};
 use util::pool::{self, Pool, Task};
 use util::rng::stream_seed;
@@ -52,11 +53,6 @@ const STREAM_PART: u64 = 0xF1EE_7007;
 /// PRAM partitions per accelerator a tenant's working set can hash to —
 /// the paper's per-chip partition count.
 const PARTITIONS: usize = 8;
-
-/// Aggregation chunk size. Fixed (never derived from the worker count)
-/// so the chunk boundaries — and therefore every partial histogram —
-/// are identical at any thread count.
-const AGG_CHUNK: usize = 4096;
 
 /// How requests are spread across the fleet's accelerators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -259,6 +255,12 @@ impl FleetSpec {
                 "either requests or duration_ms must bound the run",
             ));
         }
+        if self.horizon_ps().is_none() {
+            return Err(SpecError::new(format!(
+                "duration_ms {} overflows the picosecond horizon",
+                self.duration_ms
+            )));
+        }
         if !self.admit_ms.is_finite() || self.admit_ms < 0.0 {
             return Err(SpecError::new(format!(
                 "admit_ms must be finite and >= 0, got {}",
@@ -279,6 +281,12 @@ impl FleetSpec {
         }
         self.arrivals.validate()?;
         self.tenant_model().map(|_| ())
+    }
+
+    /// The serving horizon in picoseconds (0 when unbounded); `None`
+    /// when `duration_ms` does not fit a `u64` of picoseconds.
+    pub fn horizon_ps(&self) -> Option<u64> {
+        self.duration_ms.checked_mul(1_000_000_000)
     }
 
     /// The partition (within its accelerator) tenant `tenant`'s working
@@ -374,17 +382,6 @@ impl AccelState {
         }
         best
     }
-}
-
-/// One served (or rejected) request — the serving loop's output row,
-/// consumed by the parallel aggregation phase.
-#[derive(Debug, Clone, Copy)]
-struct Done {
-    tenant: u32,
-    class: QosClass,
-    latency_ps: u64,
-    rejected: bool,
-    degraded: bool,
 }
 
 /// Per-accelerator serving counters.
@@ -754,53 +751,6 @@ impl FromJson for FleetReport {
     }
 }
 
-/// Partial tallies of one aggregation chunk.
-struct Tally {
-    aggregate: LatencyHistogram,
-    classes: Vec<ClassStats>,
-    tenants: BTreeMap<u32, TenantStats>,
-}
-
-/// Tallies one fixed-size chunk of serving-loop output rows.
-fn tally_chunk(model: &TenantModel, chunk: &[Done]) -> Tally {
-    let mut aggregate = LatencyHistogram::new();
-    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
-    let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-    for d in chunk {
-        let class_i = d.class as usize;
-        let t = tenants.entry(d.tenant).or_insert_with(|| TenantStats {
-            tenant: d.tenant,
-            class: model.class_of(d.tenant),
-            offered: 0,
-            completed: 0,
-            rejected: 0,
-            degraded: 0,
-            latency: LatencyHistogram::new(),
-        });
-        classes[class_i].offered += 1;
-        t.offered += 1;
-        if d.rejected {
-            classes[class_i].rejected += 1;
-            t.rejected += 1;
-            continue;
-        }
-        classes[class_i].completed += 1;
-        t.completed += 1;
-        if d.degraded {
-            classes[class_i].degraded += 1;
-            t.degraded += 1;
-        }
-        aggregate.record_ps(d.latency_ps);
-        classes[class_i].latency.record_ps(d.latency_ps);
-        t.latency.record_ps(d.latency_ps);
-    }
-    Tally {
-        aggregate,
-        classes,
-        tenants,
-    }
-}
-
 /// Runs the fleet described by `spec` on the global worker pool.
 ///
 /// # Errors
@@ -814,9 +764,9 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, SpecError> {
 /// Runs the fleet described by `spec` on an explicit worker pool.
 ///
 /// The serving loop is serial (fleet state is one global ordered
-/// timeline); the pool parallelizes kernel pricing up front and
-/// histogram aggregation at the end, both in thread-count-independent
-/// work units — the report is byte-identical at any pool width.
+/// timeline) and tallies every request as it serves it, in memory
+/// O(tenants); the pool only prices the kernel pool up front, in
+/// kernel order — the report is byte-identical at any pool width.
 ///
 /// # Errors
 ///
@@ -835,7 +785,7 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         0
     };
     let admit_ps = (spec.admit_ms * 1e9).round() as u64;
-    let horizon_ps = spec.duration_ms * 1_000_000_000;
+    let horizon_ps = spec.horizon_ps().expect("validated horizon");
 
     // The serving loop: serial, seeded, one global timeline.
     let telemetry = Telemetry::with_attribution(0);
@@ -843,7 +793,12 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
     let mut accels: Vec<AccelState> = (0..spec.accelerators)
         .map(|_| AccelState::new(spec.slots_per_accel))
         .collect();
-    let mut done: Vec<Done> = Vec::new();
+    let mut aggregate = LatencyHistogram::new();
+    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
+    // Tenant rows in first-seen order, reached through one hash lookup
+    // per request; sorted by tenant id when the report is built.
+    let mut tenant_row: FxHashMap<u32, usize> = FxHashMap::default();
+    let mut tenants: Vec<TenantStats> = Vec::new();
     let mut makespan_ps = 0u64;
     let mut seq = 0u64;
     loop {
@@ -857,6 +812,21 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         let req = model.request(seq, at);
         seq += 1;
         let now = at.as_ps();
+        let row = *tenant_row.entry(req.tenant).or_insert_with(|| {
+            tenants.push(TenantStats {
+                tenant: req.tenant,
+                class: req.class,
+                offered: 0,
+                completed: 0,
+                rejected: 0,
+                degraded: 0,
+                latency: LatencyHistogram::new(),
+            });
+            tenants.len() - 1
+        });
+        let (class, tenant) = (&mut classes[req.class as usize], &mut tenants[row]);
+        class.offered += 1;
+        tenant.offered += 1;
 
         // Dispatch.
         let least_loaded = (0..accels.len())
@@ -873,16 +843,14 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         };
         let over_limit = spec.balancer == BalancerKind::QosAware && backlog > admit_ps;
         if over_limit && req.class == QosClass::BestEffort {
-            done.push(Done {
-                tenant: req.tenant,
-                class: req.class,
-                latency_ps: 0,
-                rejected: true,
-                degraded: false,
-            });
+            class.rejected += 1;
+            tenant.rejected += 1;
             continue;
         }
-        let degraded = over_limit && req.class == QosClass::Throughput;
+        if over_limit && req.class == QosClass::Throughput {
+            class.degraded += 1;
+            tenant.degraded += 1;
+        }
 
         // Serve: slot queueing, partition contention, the erase wall,
         // then the calibrated service time.
@@ -928,57 +896,15 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         span.advance(Cause::ArrayAccess, Picos::from_ps(finish));
         probe.attr_record("fleet.request", &span);
 
-        done.push(Done {
-            tenant: req.tenant,
-            class: req.class,
-            latency_ps: finish - now,
-            rejected: false,
-            degraded,
-        });
+        let latency_ps = finish - now;
+        class.completed += 1;
+        tenant.completed += 1;
+        aggregate.record_ps(latency_ps);
+        class.latency.record_ps(latency_ps);
+        tenant.latency.record_ps(latency_ps);
     }
     probe.attr_untag_tenant();
-
-    // Aggregation: fixed-size chunks fan out over the pool; partials
-    // merge in submission order, so the result is thread-count
-    // independent.
-    let tasks: Vec<Task<Tally>> = done
-        .chunks(AGG_CHUNK)
-        .map(|chunk| {
-            let chunk = chunk.to_vec();
-            let model = model.clone();
-            let task: Task<Tally> = Box::new(move || tally_chunk(&model, &chunk));
-            task
-        })
-        .collect();
-    let mut aggregate = LatencyHistogram::new();
-    let mut classes = vec![ClassStats::default(); NUM_CLASSES];
-    let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-    for tally in pool.run(tasks) {
-        aggregate.merge(&tally.aggregate);
-        for (total, part) in classes.iter_mut().zip(tally.classes) {
-            total.offered += part.offered;
-            total.completed += part.completed;
-            total.rejected += part.rejected;
-            total.degraded += part.degraded;
-            total.latency.merge(&part.latency);
-        }
-        for (id, part) in tally.tenants {
-            let t = tenants.entry(id).or_insert_with(|| TenantStats {
-                tenant: id,
-                class: part.class,
-                offered: 0,
-                completed: 0,
-                rejected: 0,
-                degraded: 0,
-                latency: LatencyHistogram::new(),
-            });
-            t.offered += part.offered;
-            t.completed += part.completed;
-            t.rejected += part.rejected;
-            t.degraded += part.degraded;
-            t.latency.merge(&part.latency);
-        }
-    }
+    tenants.sort_unstable_by_key(|t| t.tenant);
 
     let completed: u64 = classes.iter().map(|c| c.completed).sum();
     let rejected: u64 = classes.iter().map(|c| c.rejected).sum();
@@ -995,7 +921,7 @@ pub fn run_fleet_on(pool: &Pool, spec: &FleetSpec) -> Result<FleetReport, SpecEr
         makespan_ps,
         aggregate,
         classes: QosClass::ALL.into_iter().zip(classes).collect(),
-        per_tenant: tenants.into_values().collect(),
+        per_tenant: tenants,
         accels: accels.into_iter().map(|a| a.stats).collect(),
         attr: telemetry.attribution().expect("attribution hub is live"),
     })
@@ -1050,6 +976,13 @@ mod tests {
                 },
             ),
             (
+                "horizon overflows u64 picoseconds",
+                FleetSpec {
+                    duration_ms: u64::MAX / 1_000_000_000 + 1,
+                    ..tiny_spec()
+                },
+            ),
+            (
                 "qos-aware without limit",
                 FleetSpec {
                     balancer: BalancerKind::QosAware,
@@ -1071,6 +1004,11 @@ mod tests {
         for (what, spec) in cases {
             assert!(spec.validate().is_err(), "{what} must be rejected");
         }
+        let longest = FleetSpec {
+            duration_ms: u64::MAX / 1_000_000_000,
+            ..tiny_spec()
+        };
+        assert!(longest.validate().is_ok(), "the largest horizon fits");
     }
 
     #[test]

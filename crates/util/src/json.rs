@@ -779,10 +779,16 @@ impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
     }
 }
 
-impl<K: ToJson, V: ToJson, S> ToJson for HashMap<K, V, S> {
+// Hash maps write their pairs sorted by key, as `BTreeMap` does, so the
+// bytes never depend on hash order (std's `RandomState` differs per
+// process).
+impl<K: ToJson + Ord, V: ToJson, S> ToJson for HashMap<K, V, S> {
     fn to_json(&self) -> Json {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         Json::Arr(
-            self.iter()
+            pairs
+                .into_iter()
                 .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
                 .collect(),
         )
@@ -977,6 +983,19 @@ mod tests {
         let back: BTreeMap<u32, String> =
             BTreeMap::from_json(&Json::parse(&m.to_json_string()).unwrap()).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn hash_maps_serialize_in_key_order() {
+        // Each std `HashMap` draws its own `RandomState`, so two maps
+        // with the same entries iterate in different orders.
+        let a: HashMap<u64, u64> = (0..64).map(|k| (k * 7919, k)).collect();
+        let b: HashMap<u64, u64> = (0..64).rev().map(|k| (k * 7919, k)).collect();
+        assert_eq!(a.to_json_string(), b.to_json_string());
+        let sorted: BTreeMap<u64, u64> = a.clone().into_iter().collect();
+        assert_eq!(a.to_json_string(), sorted.to_json_string());
+        let back: HashMap<u64, u64> = HashMap::from_json_str(&a.to_json_string()).unwrap();
+        assert_eq!(back, a);
     }
 
     #[test]

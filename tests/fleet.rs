@@ -1,9 +1,11 @@
 //! Fleet serving: the determinism contract (a seeded 1k-tenant,
-//! 100k-request cell is byte-identical at 1 vs 4 threads), the QoS
-//! conservation ledger (per-class and per-tenant histograms merge
-//! exactly to the fleet aggregate), and report JSON round trips.
+//! 100k-request cell is byte-identical at 1 vs 4 threads and matches
+//! golden report digests under every balancer), the QoS conservation
+//! ledger (per-class and per-tenant histograms merge exactly to the
+//! fleet aggregate), and report JSON round trips.
 
 use dramless::{run_fleet_on, ArrivalProcess, BalancerKind, FleetReport, FleetSpec, QosClass};
+use util::fingerprint::fnv1a;
 use util::json::{FromJson, ToJson};
 use util::pool::Pool;
 use util::telemetry::LatencyHistogram;
@@ -38,10 +40,10 @@ fn acceptance_spec() -> FleetSpec {
 
 #[test]
 fn acceptance_cell_is_byte_identical_at_one_vs_four_threads() {
-    // The headline contract: the serving loop is serial and the
-    // parallel phases (kernel pricing, chunked aggregation) merge in
-    // submission order, so thread count must never leak into the
-    // report — down to the last byte of JSON.
+    // The headline contract: the serving loop is serial and tallies as
+    // it serves, and the one parallel phase (kernel pricing) collects in
+    // kernel order, so thread count must never leak into the report —
+    // down to the last byte of JSON.
     let spec = acceptance_spec();
     let serial = run_fleet_on(&Pool::new(1), &spec).expect("1-thread run serves");
     let threaded = run_fleet_on(&Pool::new(4), &spec).expect("4-thread run serves");
@@ -166,4 +168,32 @@ fn fleet_reports_round_trip_through_json() {
     parsed
         .check_conservation()
         .expect("parsed ledger still balances");
+}
+
+#[test]
+fn acceptance_cell_reports_match_goldens() {
+    // Byte-identity pin for the fleet report under every balancer: the
+    // 1-vs-4-thread test above cannot see a change to the aggregation
+    // itself, since both runs would drift together. These digests can.
+    // Re-record only for a deliberate model change.
+    const GOLDEN: [(BalancerKind, u64); 3] = [
+        (BalancerKind::RoundRobin, 0x939c_0717_d96c_ba5d),
+        (BalancerKind::LeastLoaded, 0x6fc3_e468_5405_f375),
+        (BalancerKind::QosAware, 0xb532_de52_9f46_06f2),
+    ];
+    let pool = Pool::new(2);
+    for (balancer, want) in GOLDEN {
+        let spec = FleetSpec {
+            balancer,
+            ..acceptance_spec()
+        };
+        let report = run_fleet_on(&pool, &spec).expect("cell serves");
+        let got = fnv1a(report.to_json_pretty().as_bytes());
+        assert_eq!(
+            got,
+            want,
+            "{}: fleet report bytes drifted (got 0x{got:016x})",
+            balancer.label()
+        );
+    }
 }
