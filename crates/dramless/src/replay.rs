@@ -56,7 +56,7 @@ use workloads::Workload;
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 50_000;
 
 /// Schema version of [`Recording`] files this build reads and writes.
-pub const RECORDING_VERSION: u32 = 1;
+pub const RECORDING_VERSION: u32 = 2;
 
 /// The per-cell commitment: schedule content-address, request stream,
 /// and final report.

@@ -77,7 +77,7 @@ util::json_struct!(FlashDevice {
     energy
 });
 
-sim_core::snapshot_via_json!(FlashDevice, "flash/device", 1);
+sim_core::snapshot_via_json!(FlashDevice, "flash/device", 2);
 
 impl FlashDevice {
     /// Creates a device of the given geometry and cell kind with Table I
@@ -319,6 +319,36 @@ mod tests {
         d.preload(4, &page);
         let (_, back) = d.read_page(Picos::ZERO, 4);
         assert_eq!(back.unwrap(), page);
+    }
+
+    #[test]
+    fn malformed_ftl_block_table_is_a_typed_restore_error() {
+        use sim_core::{Snapshot, SnapshotError};
+        use util::json::Json;
+        let mut d = dev(CellKind::Slc);
+        let page = vec![4; d.page_bytes() as usize];
+        for lpn in 0..6 {
+            d.write_page(Picos::ZERO, lpn, &page);
+        }
+        let mut image = d.snapshot();
+        let touched = image
+            .data
+            .get_mut("ftl")
+            .and_then(|f| f.get_mut("blocks"))
+            .and_then(|b| b.get_mut("touched"))
+            .and_then(Json::as_arr_mut)
+            .expect("the FTL lists its written blocks");
+        let first = touched[0].clone();
+        touched.push(first);
+        let before = *d.stats();
+        match d.restore(&image) {
+            Err(SnapshotError::Malformed { kind, error }) => {
+                assert_eq!(kind, "flash/device");
+                assert!(error.msg.contains("listed twice"), "{error}");
+            }
+            other => panic!("want a malformed-image error, got {other:?}"),
+        }
+        assert_eq!(d.stats(), &before, "a failed restore must not mutate");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::geometry::FlashGeometry;
 use std::collections::HashMap;
+use util::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Typed FTL request failures.
 ///
@@ -204,15 +205,126 @@ pub struct Ftl {
     stats: FtlStats,
 }
 
-util::json_struct!(Ftl {
-    geometry,
-    map,
-    blocks,
+/// The image form of an [`Ftl`]'s `[die][block]` table: its shape plus
+/// only the blocks that differ from a fresh [`Block::new`]. Restore
+/// rebuilds the untouched blocks, so an image costs what the workload
+/// wrote, not the device's size.
+#[derive(Debug)]
+struct SparseBlocks {
+    dies: usize,
+    blocks_per_die: u32,
+    pages_per_block: u32,
+    /// `(die, block, state)`, ascending by `(die, block)`.
+    touched: Vec<(usize, u32, Block)>,
+}
+
+util::json_struct!(SparseBlocks {
     dies,
-    next_die,
-    gc_low_water,
-    stats
+    blocks_per_die,
+    pages_per_block,
+    touched
 });
+
+impl SparseBlocks {
+    fn of(geometry: &FlashGeometry, blocks: &[Vec<Block>]) -> Self {
+        let fresh = Block::new(geometry.pages_per_block);
+        let mut touched = Vec::new();
+        for (die, row) in blocks.iter().enumerate() {
+            for (b, blk) in row.iter().enumerate() {
+                if *blk != fresh {
+                    touched.push((die, b as u32, blk.clone()));
+                }
+            }
+        }
+        SparseBlocks {
+            dies: geometry.dies,
+            blocks_per_die: geometry.blocks_per_die,
+            pages_per_block: geometry.pages_per_block,
+            touched,
+        }
+    }
+
+    /// Rebuilds the full table, rejecting a shape that disagrees with
+    /// `geometry` and listed blocks that could not have been written.
+    fn expand(self, geometry: &FlashGeometry) -> Result<Vec<Vec<Block>>, JsonError> {
+        let shape = (self.dies, self.blocks_per_die, self.pages_per_block);
+        let expected = (
+            geometry.dies,
+            geometry.blocks_per_die,
+            geometry.pages_per_block,
+        );
+        if shape != expected {
+            return Err(JsonError::new(format!(
+                "block table shape {shape:?} disagrees with the geometry {expected:?}"
+            )));
+        }
+        let pages = self.pages_per_block;
+        let mut blocks = vec![vec![Block::new(pages); self.blocks_per_die as usize]; self.dies];
+        let mut listed = vec![vec![false; self.blocks_per_die as usize]; self.dies];
+        for (die, b, blk) in self.touched {
+            let at = format!("block [{die}][{b}]");
+            let Some(seen) = listed.get_mut(die).and_then(|d| d.get_mut(b as usize)) else {
+                return Err(JsonError::new(format!(
+                    "{at} is outside the {}x{} block table",
+                    self.dies, self.blocks_per_die
+                )));
+            };
+            if std::mem::replace(seen, true) {
+                return Err(JsonError::new(format!("{at} is listed twice")));
+            }
+            let valid = blk.owners.iter().filter(|o| o.is_some()).count();
+            if blk.owners.len() != pages as usize
+                || blk.write_ptr > pages
+                || valid != blk.valid as usize
+            {
+                return Err(JsonError::new(format!(
+                    "{at} is inconsistent: {} owner slots, write pointer {}, {} valid for {valid} owned",
+                    blk.owners.len(),
+                    blk.write_ptr,
+                    blk.valid
+                )));
+            }
+            blocks[die][b as usize] = blk;
+        }
+        Ok(blocks)
+    }
+}
+
+impl ToJson for Ftl {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("geometry".to_string(), self.geometry.to_json()),
+            ("map".to_string(), self.map.to_json()),
+            (
+                "blocks".to_string(),
+                SparseBlocks::of(&self.geometry, &self.blocks).to_json(),
+            ),
+            ("dies".to_string(), self.dies.to_json()),
+            ("next_die".to_string(), self.next_die.to_json()),
+            ("gc_low_water".to_string(), self.gc_low_water.to_json()),
+            ("stats".to_string(), self.stats.to_json()),
+        ])
+    }
+}
+
+impl FromJson for Ftl {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let ctx = |e: JsonError| e.context("Ftl");
+        let geometry: FlashGeometry = field(v, "geometry").map_err(ctx)?;
+        let blocks = field::<SparseBlocks>(v, "blocks")
+            .and_then(|s| s.expand(&geometry).map_err(|e| e.context("blocks")))
+            .map_err(ctx)?;
+        Ok(Ftl {
+            geometry,
+            map: field(v, "map").map_err(ctx)?,
+            blocks,
+            dies: field(v, "dies").map_err(ctx)?,
+            next_die: field(v, "next_die").map_err(ctx)?,
+            gc_low_water: field(v, "gc_low_water").map_err(ctx)?,
+            stats: field(v, "stats").map_err(ctx)?,
+        })
+    }
+}
 
 impl Ftl {
     /// Creates an FTL over `geometry`, garbage-collecting when a die
@@ -449,6 +561,75 @@ mod tests {
         }
         assert!(f.stats().write_amplification() >= 1.0);
         assert!(f.stats().erases > 10);
+    }
+
+    /// An FTL whose rewrites of a small hot range have filled, garbage
+    /// collected and reopened blocks on both dies.
+    fn churned() -> Ftl {
+        let mut f = ftl();
+        for i in 0..1000 {
+            f.write(i % 24).unwrap();
+        }
+        assert!(f.stats().erases > 0);
+        f
+    }
+
+    fn touched(image: &mut Json) -> &mut Vec<Json> {
+        image
+            .get_mut("blocks")
+            .and_then(|b| b.get_mut("touched"))
+            .and_then(Json::as_arr_mut)
+            .expect("a touched list")
+    }
+
+    /// Element `i` of touched entry `entry`.
+    fn entry(image: &mut Json, entry: usize, i: usize) -> &mut Json {
+        &mut touched(image)[entry].as_arr_mut().expect("an entry tuple")[i]
+    }
+
+    #[test]
+    fn images_list_only_touched_blocks_and_round_trip() {
+        let f = churned();
+        let mut image = f.to_json();
+        let fresh = Block::new(f.geometry().pages_per_block);
+        let untouched = f.blocks.iter().flatten().filter(|b| **b == fresh).count();
+        let total = f.geometry().dies * f.geometry().blocks_per_die as usize;
+        assert!(untouched > 0, "the churn left no block fresh");
+        assert_eq!(touched(&mut image).len(), total - untouched);
+        assert_eq!(Ftl::from_json(&image).unwrap(), f);
+        assert_eq!(Ftl::from_json_str(&f.to_json_string()).unwrap(), f);
+        let mut empty = ftl().to_json();
+        assert!(touched(&mut empty).is_empty(), "a fresh FTL lists no block");
+        assert_eq!(Ftl::from_json(&empty).unwrap(), ftl());
+    }
+
+    #[test]
+    fn sparse_blocks_out_of_range_or_listed_twice_are_typed_errors() {
+        let f = churned();
+        let geometry = *f.geometry();
+        let reject = |why: &str, edit: &dyn Fn(&mut Json)| {
+            let mut image = f.to_json();
+            edit(&mut image);
+            let err = Ftl::from_json(&image).unwrap_err();
+            assert!(err.msg.contains(why), "want {why:?}, got {err}");
+        };
+        reject("outside", &|v| {
+            *entry(v, 0, 0) = Json::U64(geometry.dies as u64)
+        });
+        reject("outside", &|v| {
+            *entry(v, 0, 1) = Json::U64(u64::from(geometry.blocks_per_die))
+        });
+        reject("listed twice", &|v| {
+            let first = touched(v)[0].clone();
+            touched(v).push(first);
+        });
+        reject("inconsistent", &|v| {
+            let owners = entry(v, 0, 2).get_mut("owners").and_then(Json::as_arr_mut);
+            owners.expect("owners").pop();
+        });
+        reject("shape", &|v| {
+            *v.get_mut("blocks").unwrap().get_mut("dies").unwrap() = Json::U64(9);
+        });
     }
 
     #[test]

@@ -989,7 +989,7 @@ impl PramController {
 /// Image tag for [`PramController`] snapshots.
 const CTRL_KIND: &str = "pram-ctrl/controller";
 /// Schema version of [`CTRL_KIND`] images.
-const CTRL_VERSION: u32 = 1;
+const CTRL_VERSION: u32 = 2;
 
 impl sim_core::Snapshot for PramController {
     fn snapshot(&self) -> StateImage {

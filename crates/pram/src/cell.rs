@@ -19,6 +19,7 @@
 
 use crate::geometry::{PartitionId, PramGeometry, RowId};
 use std::collections::HashMap;
+use util::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Size of one program unit (row word) in bytes.
 pub const WORD_BYTES: usize = 32;
@@ -34,12 +35,6 @@ pub struct Word {
     /// Lifetime program count of this row (endurance accounting, §VII).
     pub programs: u32,
 }
-
-util::json_struct!(Word {
-    data,
-    pristine,
-    programs
-});
 
 impl Default for Word {
     fn default() -> Self {
@@ -98,14 +93,91 @@ pub struct CellArray {
     erases: u64,
 }
 
-util::json_struct!(CellArray {
-    geometry,
-    rows,
-    programs,
-    overwrites,
-    selective_erases,
-    erases
-});
+/// The image form of one stored row: the tuple
+/// `[partition, array_row, "hex word", pristine, programs]`.
+struct RowImage(RowId, Word);
+
+impl ToJson for RowImage {
+    fn to_json(&self) -> Json {
+        let RowImage(row, word) = self;
+        Json::Arr(vec![
+            row.partition.0.to_json(),
+            row.array_row.to_json(),
+            word.data.to_json(),
+            word.pristine.to_json(),
+            word.programs.to_json(),
+        ])
+    }
+}
+
+impl FromJson for RowImage {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let Some([partition, array_row, data, pristine, programs]) = v.as_arr() else {
+            return Err(JsonError::new(format!(
+                "expected a [partition, array_row, word, pristine, programs] row, got {}",
+                v.kind()
+            )));
+        };
+        let row = RowId::new(
+            u8::from_json(partition).map_err(|e| e.context("partition"))?,
+            u32::from_json(array_row).map_err(|e| e.context("array_row"))?,
+        );
+        let word = Word {
+            data: FromJson::from_json(data).map_err(|e| e.context(&format!("row {row}")))?,
+            pristine: bool::from_json(pristine).map_err(|e| e.context("pristine"))?,
+            programs: u32::from_json(programs).map_err(|e| e.context("programs"))?,
+        };
+        Ok(RowImage(row, word))
+    }
+}
+
+impl ToJson for CellArray {
+    fn to_json(&self) -> Json {
+        let mut rows: Vec<RowImage> = self.rows.iter().map(|(r, w)| RowImage(*r, *w)).collect();
+        rows.sort_unstable_by_key(|r| r.0);
+        Json::Obj(vec![
+            ("geometry".to_string(), self.geometry.to_json()),
+            ("rows".to_string(), rows.to_json()),
+            ("programs".to_string(), self.programs.to_json()),
+            ("overwrites".to_string(), self.overwrites.to_json()),
+            (
+                "selective_erases".to_string(),
+                self.selective_erases.to_json(),
+            ),
+            ("erases".to_string(), self.erases.to_json()),
+        ])
+    }
+}
+
+impl FromJson for CellArray {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let ctx = |e: JsonError| e.context("CellArray");
+        let geometry: PramGeometry = field(v, "geometry").map_err(ctx)?;
+        let rows: Vec<RowImage> = field(v, "rows").map_err(ctx)?;
+        // Rows are written strictly ascending, which also rules out a
+        // row listed twice; every row must lie inside the geometry.
+        for (i, RowImage(row, _)) in rows.iter().enumerate() {
+            if i > 0 && rows[i - 1].0 >= *row {
+                return Err(ctx(JsonError::new(format!(
+                    "rows: row {row} is out of order or listed twice"
+                ))));
+            }
+            if !geometry.contains(*row) {
+                return Err(ctx(JsonError::new(format!(
+                    "rows: row {row} is outside the geometry"
+                ))));
+            }
+        }
+        Ok(CellArray {
+            geometry,
+            rows: rows.into_iter().map(|RowImage(r, w)| (r, w)).collect(),
+            programs: field(v, "programs").map_err(ctx)?,
+            overwrites: field(v, "overwrites").map_err(ctx)?,
+            selective_erases: field(v, "selective_erases").map_err(ctx)?,
+            erases: field(v, "erases").map_err(ctx)?,
+        })
+    }
+}
 
 impl CellArray {
     /// Creates an all-pristine array.
@@ -212,11 +284,7 @@ impl CellArray {
     }
 
     fn check_row(&self, row: RowId) {
-        assert!(
-            row.partition.0 < self.geometry.partitions
-                && row.array_row < self.geometry.rows_per_partition(),
-            "row {row} outside geometry"
-        );
+        assert!(self.geometry.contains(row), "row {row} outside geometry");
     }
 }
 
@@ -305,6 +373,59 @@ mod tests {
         cells.erase_partition(PartitionId(0));
         let (p, o, s, e) = cells.op_counts();
         assert_eq!((p, o, s, e), (3, 1, 1, 1));
+    }
+
+    #[test]
+    fn images_write_rows_as_sorted_tuples_and_round_trip() {
+        let mut cells = arr();
+        let mut word = [0u8; WORD_BYTES];
+        word[0] = 0xab;
+        word[31] = 0x01;
+        cells.program(RowId::new(3, 9), &word);
+        cells.program(RowId::new(1, 700), &[0x10; WORD_BYTES]);
+        cells.program(RowId::new(1, 700), &[0; WORD_BYTES]); // selective erase
+        let image = cells.to_json();
+        let rows = image.get("rows").and_then(Json::as_arr).unwrap();
+        let hex = format!("ab{}01", "00".repeat(30));
+        assert_eq!(
+            rows[1].render(false),
+            format!(r#"[3,9,"{hex}",false,1]"#),
+            "rows are [partition, array_row, hex word, pristine, programs]"
+        );
+        assert_eq!(
+            rows[0].render(false),
+            format!(r#"[1,700,"{}",true,2]"#, "00".repeat(32))
+        );
+        let back = CellArray::from_json(&image).unwrap();
+        assert_eq!(back.to_json(), image);
+        assert_eq!(back.read(RowId::new(3, 9)), word);
+        assert!(back.is_pristine(RowId::new(1, 700)));
+        assert_eq!(back.op_counts(), cells.op_counts());
+    }
+
+    #[test]
+    fn malformed_row_images_are_typed_errors() {
+        let mut cells = arr();
+        cells.program(RowId::new(0, 1), &[1; WORD_BYTES]);
+        cells.program(RowId::new(0, 2), &[2; WORD_BYTES]);
+        let reject = |why: &str, edit: &dyn Fn(&mut Vec<Json>)| {
+            let mut image = cells.to_json();
+            edit(image.get_mut("rows").and_then(Json::as_arr_mut).unwrap());
+            let err = CellArray::from_json(&image).unwrap_err();
+            assert!(err.msg.contains(why), "want {why:?}, got {err}");
+        };
+        reject("out of order or listed twice", &|rows| rows.swap(0, 1));
+        reject("out of order or listed twice", &|rows| {
+            let first = rows[0].clone();
+            rows.push(first);
+        });
+        reject("outside the geometry", &|rows| {
+            rows[1].as_arr_mut().unwrap()[0] = Json::U64(16);
+        });
+        reject("row", &|rows| rows[0] = Json::U64(7));
+        reject("hex word", &|rows| {
+            rows[0].as_arr_mut().unwrap()[2] = Json::Str("0101".into());
+        });
     }
 
     #[test]

@@ -37,7 +37,7 @@ util::json_struct!(PramChannel {
     timing
 });
 
-sim_core::snapshot_via_json!(PramChannel, "pram/channel", 1);
+sim_core::snapshot_via_json!(PramChannel, "pram/channel", 2);
 
 impl PramChannel {
     /// Creates a channel of `n` modules.

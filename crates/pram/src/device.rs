@@ -215,7 +215,7 @@ util::json_struct!(PramModule {
     program_windows
 });
 
-sim_core::snapshot_via_json!(PramModule, "pram/module", 1);
+sim_core::snapshot_via_json!(PramModule, "pram/module", 2);
 
 impl PramModule {
     /// Creates a module with the paper geometry and the given timing.
@@ -721,6 +721,47 @@ mod tests {
         let t3 = m.write_overlay(t2.end, regs::MULTI_PURPOSE, &[32]);
         let t4 = m.write_overlay(t3.end, regs::PROGRAM_BUFFER, &word);
         m.execute_program(t4.end).end
+    }
+
+    #[test]
+    fn malformed_hex_words_are_typed_restore_errors() {
+        use sim_core::{Snapshot, SnapshotError, StateImage};
+        use util::json::Json;
+        /// The hex word of the image's first stored row.
+        fn word(image: &mut StateImage) -> &mut Json {
+            let cells = image.data.get_mut("cells").expect("cells");
+            let rows = cells
+                .get_mut("rows")
+                .and_then(Json::as_arr_mut)
+                .expect("rows");
+            &mut rows[0].as_arr_mut().expect("a row tuple")[2]
+        }
+        let mut m = module();
+        let row = RowId::new(2, 77);
+        full_write(&mut m, Picos::ZERO, row, [0x5c; WORD_BYTES]);
+        let good = m.snapshot();
+        let hex = word(&mut good.clone())
+            .as_str()
+            .expect("a hex word")
+            .to_string();
+        assert_eq!(hex, "5c".repeat(WORD_BYTES));
+        for (bad, why) in [
+            (hex[1..].to_string(), "characters"),
+            (format!("{hex}00"), "characters"),
+            (format!("g{}", &hex[1..]), "non-hex"),
+            (hex.to_uppercase(), "uppercase"),
+        ] {
+            let mut image = good.clone();
+            *word(&mut image) = Json::Str(bad);
+            match m.restore(&image) {
+                Err(SnapshotError::Malformed { kind, error }) => {
+                    assert_eq!(kind, "pram/module");
+                    assert!(error.msg.contains(why), "want {why:?}, got {error}");
+                }
+                other => panic!("want a malformed-image error, got {other:?}"),
+            }
+        }
+        m.restore(&good).expect("the untampered image restores");
     }
 
     #[test]

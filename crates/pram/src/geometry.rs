@@ -174,6 +174,11 @@ impl PramGeometry {
         (self.partition_bytes() / self.word_bytes as u64) as u32
     }
 
+    /// Whether `row` addresses a row of this geometry.
+    pub fn contains(&self, row: RowId) -> bool {
+        row.partition.0 < self.partitions && row.array_row < self.rows_per_partition()
+    }
+
     /// Maps a module-local byte address to `(row, byte offset in word)`.
     ///
     /// Consecutive words stripe across partitions so that streaming

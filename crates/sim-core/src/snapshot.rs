@@ -26,6 +26,9 @@
 use util::json::{FromJson, Json, JsonError, ToJson};
 
 /// A versioned, JSON-serializable image of one component's state.
+///
+/// Encoding an image (`to_json_string`, or a recording that holds it)
+/// streams `data` by reference; it never clones the tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateImage {
     /// Schema version of `data` for this `kind`.

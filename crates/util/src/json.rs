@@ -94,6 +94,14 @@ impl Json {
         }
     }
 
+    /// Looks up a key in an object, mutably.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as an unsigned integer, if exactly representable.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
@@ -146,6 +154,14 @@ impl Json {
         }
     }
 
+    /// The value as a mutable array.
+    pub fn as_arr_mut(&mut self) -> Option<&mut Vec<Json>> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// One-word description of the value's kind, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -164,6 +180,11 @@ impl Json {
         let mut out = String::new();
         self.write(&mut out, pretty, 0);
         out
+    }
+
+    /// Appends the compact (`render(false)`) text to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        self.write(out, false, 0);
     }
 
     fn write(&self, out: &mut String, pretty: bool, depth: usize) {
@@ -477,9 +498,18 @@ pub trait ToJson {
     /// The JSON form of `self`.
     fn to_json(&self) -> Json;
 
+    /// Appends the compact text of `self` to `out`: exactly the bytes
+    /// of `self.to_json().render(false)`. Containers override it to
+    /// stream their members without building a [`Json`] tree first.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().render_into(out);
+    }
+
     /// Compact one-line text.
     fn to_json_string(&self) -> String {
-        self.to_json().render(false)
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// Two-space-indented text.
@@ -523,6 +553,82 @@ pub fn field<T: FromJson>(v: &Json, name: &str) -> Result<T, JsonError> {
     T::from_json(item).map_err(|e| e.context(name))
 }
 
+/// Opens member `key` of a streamed compact object: writes `{"key":`
+/// for the first member and `,"key":` after it. The caller closes the
+/// object with `}`.
+#[doc(hidden)]
+pub fn open_member(out: &mut String, first: bool, key: &str) {
+    out.push(if first { '{' } else { ',' });
+    write_escaped(out, key);
+    out.push(':');
+}
+
+/// Streams `(key, value)` pairs as a compact array of `[key, value]`
+/// arrays, the map layout.
+fn write_pairs<'a, K: ToJson + 'a, V: ToJson + 'a>(
+    out: &mut String,
+    pairs: impl Iterator<Item = (&'a K, &'a V)>,
+) {
+    out.push('[');
+    for (i, (k, v)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        k.write_json(out);
+        out.push(',');
+        v.write_json(out);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `bytes` as lowercase hex digits, two per byte, unquoted.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    out.reserve(2 * bytes.len());
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        out.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
+    }
+}
+
+/// Decodes a byte word written by [`push_hex`]: exactly `2 * out.len()`
+/// lowercase hex digits fill `out`.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] for a string of the wrong length, an
+/// uppercase digit or a character that is not a hex digit.
+fn parse_hex(text: &str, out: &mut [u8]) -> Result<(), JsonError> {
+    let digits = text.as_bytes();
+    if digits.len() != 2 * out.len() {
+        return Err(JsonError::new(format!(
+            "expected a {}-byte hex word ({} digits), got {} characters",
+            out.len(),
+            2 * out.len(),
+            text.chars().count()
+        )));
+    }
+    let nibble = |i: usize| -> Result<u8, JsonError> {
+        match digits[i] {
+            c @ b'0'..=b'9' => Ok(c - b'0'),
+            c @ b'a'..=b'f' => Ok(c - b'a' + 10),
+            b'A'..=b'F' => Err(JsonError::new(format!(
+                "uppercase hex digit at character {i} (hex words are lowercase)"
+            ))),
+            _ => Err(JsonError::new(format!(
+                "non-hex character at character {i} of a hex word"
+            ))),
+        }
+    };
+    for (i, byte) in out.iter_mut().enumerate() {
+        *byte = (nibble(2 * i)? << 4) | nibble(2 * i + 1)?;
+    }
+    Ok(())
+}
+
 fn mismatch<T>(expected: &str, got: &Json) -> Result<T, JsonError> {
     Err(JsonError::new(format!(
         "expected {expected}, got {}",
@@ -533,6 +639,10 @@ fn mismatch<T>(expected: &str, got: &Json) -> Result<T, JsonError> {
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.render_into(out);
     }
 }
 
@@ -557,6 +667,10 @@ impl FromJson for bool {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self);
     }
 }
 
@@ -676,6 +790,13 @@ impl<T: ToJson> ToJson for Option<T> {
             None => Json::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -690,6 +811,17 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -707,19 +839,55 @@ impl<T: FromJson> FromJson for Vec<T> {
     }
 }
 
-impl<T: ToJson, const N: usize> ToJson for [T; N] {
+/// Element types whose fixed-size arrays serialize as JSON arrays.
+///
+/// `u8` is deliberately absent: `[u8; N]` is a byte word and
+/// serializes as one string of `2 * N` lowercase hex digits, which
+/// costs one JSON node instead of `N + 1`; decoding accepts only that
+/// form.
+pub trait ArrayElem {}
+
+impl ArrayElem for u64 {}
+impl<T: ArrayElem, const N: usize> ArrayElem for [T; N] {}
+
+impl<T: ToJson + ArrayElem, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
-impl<T: FromJson + fmt::Debug, const N: usize> FromJson for [T; N] {
+impl<T: FromJson + ArrayElem + fmt::Debug, const N: usize> FromJson for [T; N] {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let items: Vec<T> = Vec::from_json(v)?;
         let got = items.len();
         items
             .try_into()
             .map_err(|_| JsonError::new(format!("expected {N} elements, got {got}")))
+    }
+}
+
+impl<const N: usize> ToJson for [u8; N] {
+    fn to_json(&self) -> Json {
+        let mut hex = String::new();
+        push_hex(&mut hex, self);
+        Json::Str(hex)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        push_hex(out, self);
+        out.push('"');
+    }
+}
+
+impl<const N: usize> FromJson for [u8; N] {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        let Some(text) = v.as_str() else {
+            return mismatch("hex word string", v);
+        };
+        let mut word = [0u8; N];
+        parse_hex(text, &mut word)?;
+        Ok(word)
     }
 }
 
@@ -770,6 +938,10 @@ impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
                 .collect(),
         )
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_pairs(out, self.iter());
+    }
 }
 
 impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
@@ -784,15 +956,23 @@ impl<K: FromJson + Ord, V: FromJson> FromJson for BTreeMap<K, V> {
 // process).
 impl<K: ToJson + Ord, V: ToJson, S> ToJson for HashMap<K, V, S> {
     fn to_json(&self) -> Json {
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
         Json::Arr(
-            pairs
+            sorted_entries(self)
                 .into_iter()
                 .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
                 .collect(),
         )
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_pairs(out, sorted_entries(self).into_iter());
+    }
+}
+
+fn sorted_entries<K: Ord, V, S>(map: &HashMap<K, V, S>) -> Vec<(&K, &V)> {
+    let mut pairs: Vec<(&K, &V)> = map.iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    pairs
 }
 
 impl<K, V, S> FromJson for HashMap<K, V, S>
@@ -821,6 +1001,19 @@ macro_rules! json_struct {
                         $crate::json::ToJson::to_json(&self.$field),
                     )),+
                 ])
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let mut first = true;
+                $(
+                    $crate::json::open_member(
+                        out,
+                        ::std::mem::take(&mut first),
+                        stringify!($field),
+                    );
+                    $crate::json::ToJson::write_json(&self.$field, out);
+                )+
+                out.push('}');
             }
         }
 
@@ -1024,8 +1217,75 @@ mod tests {
     fn byte_arrays_round_trip() {
         let a: [u8; 4] = [1, 2, 3, 255];
         let j = a.to_json_string();
-        assert_eq!(j, "[1,2,3,255]");
+        assert_eq!(j, "\"010203ff\"");
+        assert_eq!(a.to_json().render(false), j);
         assert_eq!(<[u8; 4]>::from_json_str(&j).unwrap(), a);
-        assert!(<[u8; 4]>::from_json_str("[1,2]").is_err());
+        assert!(<[u8; 4]>::from_json_str("\"0102\"").is_err());
+        assert!(<[u8; 4]>::from_json_str("[1,2,3,255]").is_err());
+    }
+
+    #[test]
+    fn malformed_hex_words_are_typed_errors() {
+        for (bad, why) in [
+            ("\"010203f\"", "characters"),
+            ("\"010203ff00\"", "characters"),
+            ("\"010203fg\"", "non-hex"),
+            ("\"0102 3ff\"", "non-hex"),
+            ("\"010203FF\"", "uppercase"),
+        ] {
+            let err = <[u8; 4]>::from_json_str(bad).unwrap_err();
+            assert!(err.msg.contains(why), "{bad}: {err}");
+        }
+        let mut word = [0u8; 2];
+        assert!(parse_hex("\u{e9}00", &mut word).is_err(), "multi-byte char");
+    }
+
+    #[test]
+    fn streamed_text_equals_the_rendered_tree() {
+        #[derive(Debug, PartialEq)]
+        struct Inner {
+            word: [u8; 3],
+            name: String,
+        }
+        crate::json_struct!(Inner { word, name });
+        #[derive(Debug, PartialEq)]
+        struct Outer {
+            items: Vec<Inner>,
+            none: Option<u64>,
+            some: Option<(i32, f64)>,
+            map: BTreeMap<u32, [u64; 2]>,
+            hash: HashMap<u64, bool>,
+            raw: Json,
+        }
+        crate::json_struct!(Outer {
+            items,
+            none,
+            some,
+            map,
+            hash,
+            raw
+        });
+        let v = Outer {
+            items: vec![
+                Inner {
+                    word: [0, 0xab, 7],
+                    name: "a\"b\\\n".into(),
+                },
+                Inner {
+                    word: [1; 3],
+                    name: String::new(),
+                },
+            ],
+            none: None,
+            some: Some((-3, 0.25)),
+            map: [(2, [1, 2]), (1, [3, 4])].into_iter().collect(),
+            hash: (0..9).map(|k| (k * 31, k % 2 == 0)).collect(),
+            raw: Json::parse(r#"{"a":[],"b":{},"c":[null,-1,1e300]}"#).unwrap(),
+        };
+        let text = v.to_json_string();
+        assert_eq!(text, v.to_json().render(false));
+        assert_eq!(Outer::from_json_str(&text).unwrap(), v);
+        let empty: Vec<Inner> = Vec::new();
+        assert_eq!(empty.to_json_string(), "[]");
     }
 }

@@ -122,3 +122,64 @@ fn sim_rng_pinned_first_draws() {
         assert_ne!(w[0], w[1]);
     }
 }
+
+/// Asserts that the streamed text equals the rendered tree.
+fn streams_like_the_tree<T: ToJson>(label: &str, v: &T) {
+    let mut streamed = String::new();
+    v.write_json(&mut streamed);
+    assert!(
+        streamed == v.to_json().render(false),
+        "{label}: write_json differs from to_json().render(false)"
+    );
+    assert!(streamed == v.to_json_string(), "{label}: to_json_string");
+}
+
+#[test]
+fn prop_write_json_equals_the_rendered_tree() {
+    // The streamed encoder and the tree renderer must agree byte for
+    // byte on every report and recording type, whatever the knobs:
+    // random presets and kernels, faults, telemetry and attribution on
+    // or off, random fleet cells and checkpoint cadences.
+    use dramless::{replay, run_fleet_on, FaultPlan, FleetSpec, SystemId, TelemetrySpec};
+    let params = SystemParams {
+        agents: 2,
+        ..SystemParams::default()
+    };
+    util::for_each_case!(4, |rng| {
+        let kinds = SystemKind::EVALUATED;
+        let kind = kinds[rng.range_usize(0, kinds.len() - 1)];
+        let kernel = Kernel::ALL[rng.range_usize(0, Kernel::ALL.len() - 1)];
+        let w = Workload::of(kernel, Scale::small());
+        let mut spec = kind.spec();
+        if rng.chance(0.5) {
+            spec.faults = Some(FaultPlan::seeded(rng.next_u64()));
+        }
+        if rng.chance(0.5) {
+            spec.telemetry = Some(TelemetrySpec {
+                trace_events: 64,
+                attribution: rng.chance(0.5),
+            });
+        }
+        let out = dramless::simulate_spec(&spec, &w, &params).expect("spec composes");
+        streams_like_the_tree("RunOutcome", &out);
+        let other = dramless::run_suite(&[kind, SystemKind::DramLess], &[w], &params);
+        let suite = dramless::SuiteResult {
+            outcomes: [other.outcomes, vec![out]].concat(),
+        };
+        streams_like_the_tree("SuiteResult", &suite);
+
+        let fleet = FleetSpec {
+            tenants: rng.range_u64(1, 64) as u32,
+            requests: rng.range_u64(50, 500),
+            seed: rng.next_u64(),
+            ..FleetSpec::example()
+        };
+        let report = run_fleet_on(&util::pool::Pool::new(1), &fleet).expect("cell serves");
+        streams_like_the_tree("FleetReport", &report);
+
+        let every = rng.range_u64(10, 200);
+        let systems = [(SystemId::Preset(kind), kind.spec())];
+        let rec = replay::record_run(&systems, &[w], &params, every).expect("records");
+        streams_like_the_tree("Recording", &rec);
+    });
+}

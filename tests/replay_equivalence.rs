@@ -11,7 +11,8 @@ use dramless::system::simulate_spec_as;
 use dramless::{
     sweep, FaultPlan, FidelityTier, ReplayError, SystemId, SystemKind, SystemParams, SystemSpec,
 };
-use util::json::ToJson;
+use sim_core::SnapshotError;
+use util::json::{FromJson, Json, ToJson};
 use workloads::{Kernel, Scale, Workload};
 
 fn params() -> SystemParams {
@@ -230,4 +231,213 @@ fn prop_checkpoint_restore_resume_equals_straight_run() {
             }
         }
     });
+}
+
+/// The presets whose images span the controller (DRAM-less), the page
+/// cache over PRAM (PAGE-buffer) and the staged SSD with its flash FTL
+/// (Hetero).
+fn imaged_presets() -> Vec<(SystemId, SystemSpec)> {
+    [
+        SystemKind::DramLess,
+        SystemKind::PageBuffer,
+        SystemKind::Hetero,
+    ]
+    .into_iter()
+    .map(|k| (SystemId::Preset(k), k.spec()))
+    .collect()
+}
+
+fn record_imaged(every: u64) -> replay::Recording {
+    replay::record_run(&imaged_presets(), &[small()], &params(), every).unwrap()
+}
+
+#[test]
+fn repeated_recordings_are_byte_identical() {
+    let a = record_imaged(50).to_json_string();
+    let b = record_imaged(50).to_json_string();
+    assert!(a == b, "two recordings of the same cells differ");
+}
+
+#[test]
+fn older_recordings_are_refused_with_typed_errors() {
+    let rec = record_imaged(50);
+    let mut v1 = Json::parse(&rec.to_json_string()).unwrap();
+    *v1.get_mut("version").unwrap() = Json::U64(1);
+    let v1 = replay::Recording::from_json(&v1).unwrap();
+    let refused = ReplayError::UnsupportedVersion {
+        expected: RECORDING_VERSION,
+        got: 1,
+    };
+    assert_eq!(replay::verify(&v1).unwrap_err(), refused);
+    assert_eq!(replay::replay(&v1, 0, 0..10).unwrap_err(), refused);
+    // An older state image inside a current recording: the layer's own
+    // version gate refuses it.
+    let mut cell = rec.cells[0].clone();
+    cell.checkpoints[1].backend.version = 1;
+    let from = cell.checkpoints[1].requests;
+    assert!(matches!(
+        replay::replay_window(&cell, &params(), from..u64::MAX),
+        Err(ReplayError::Snapshot(SnapshotError::VersionMismatch {
+            got: 1,
+            ..
+        }))
+    ));
+}
+
+/// Visits every value under `v`, depth first.
+fn walk(v: &Json, visit: &mut dyn FnMut(&Json)) {
+    visit(v);
+    match v {
+        Json::Arr(items) => items.iter().for_each(|x| walk(x, visit)),
+        Json::Obj(pairs) => pairs.iter().for_each(|(_, x)| walk(x, visit)),
+        _ => {}
+    }
+}
+
+#[test]
+fn images_carry_no_byte_arrays_or_fresh_flash_blocks() {
+    // A structural guard on the image encodings: 32-byte PRAM words are
+    // hex strings, never arrays of 32 integers, and the FTL lists only
+    // blocks that differ from a fresh one. Bloat fails here, not only
+    // in the benchmark. Integrated-SLC's flash takes page writes, so
+    // its FTL images list written blocks.
+    let mut systems = imaged_presets();
+    systems.push((
+        SystemId::Preset(SystemKind::IntegratedSlc),
+        SystemKind::IntegratedSlc.spec(),
+    ));
+    let trisolv = Workload::of(Kernel::Trisolv, Scale(0.25));
+    let rec = replay::record_run(&systems, &[small(), trisolv], &params(), 50).unwrap();
+    let mut ftl_tables = 0;
+    let mut listed_blocks = 0;
+    for cell in &rec.cells {
+        for cp in &cell.checkpoints {
+            for image in [&cp.exec, &cp.backend] {
+                walk(&image.data, &mut |v| {
+                    if let Some(items) = v.as_arr() {
+                        assert!(
+                            items.len() != 32 || !items.iter().all(|x| x.as_u64().is_some()),
+                            "{} image holds an array of 32 integers",
+                            image.kind
+                        );
+                    }
+                    let (Some(pages), Some(touched)) = (
+                        v.get("pages_per_block").and_then(Json::as_u64),
+                        v.get("touched").and_then(Json::as_arr),
+                    ) else {
+                        return;
+                    };
+                    ftl_tables += 1;
+                    let fresh = format!(
+                        r#"{{"write_ptr":0,"owners":[{}],"valid":0}}"#,
+                        vec!["null"; pages as usize].join(",")
+                    );
+                    for entry in touched {
+                        let block = &entry.as_arr().expect("an entry tuple")[2];
+                        assert_ne!(block.render(false), fresh, "a fresh block is listed");
+                        listed_blocks += 1;
+                    }
+                });
+            }
+        }
+    }
+    assert!(ftl_tables > 0, "no recorded cell carries an FTL image");
+    assert!(listed_blocks > 0, "no FTL image lists a written block");
+}
+
+/// Records one cell of `kind` running `kernel`.
+fn recorded_cell(kind: SystemKind, kernel: Kernel) -> replay::CellRecording {
+    let w = Workload::of(kernel, Scale(0.25));
+    replay::record_cell(SystemId::Preset(kind), &kind.spec(), &w, &params(), 50).unwrap()
+}
+
+/// Applies `edit` to the first value under `v` that `pick` selects.
+fn edit_first(v: &mut Json, pick: &dyn Fn(&Json) -> bool, edit: &dyn Fn(&mut Json)) -> bool {
+    if pick(v) {
+        edit(v);
+        return true;
+    }
+    match v {
+        Json::Arr(items) => items.iter_mut().any(|x| edit_first(x, pick, edit)),
+        Json::Obj(pairs) => pairs.iter_mut().any(|(_, x)| edit_first(x, pick, edit)),
+        _ => false,
+    }
+}
+
+/// Tampers the backend image of the first checkpoint holding a value
+/// `pick` selects, replays from it and returns the malformed-image
+/// error the replay must fail with.
+fn replay_tampered(
+    mut cell: replay::CellRecording,
+    pick: &dyn Fn(&Json) -> bool,
+    edit: &dyn Fn(&mut Json),
+) -> String {
+    let from = cell
+        .checkpoints
+        .iter_mut()
+        .find_map(|cp| edit_first(&mut cp.backend.data, pick, edit).then_some(cp.requests))
+        .expect("nothing to tamper");
+    match replay::replay_window(&cell, &params(), from..u64::MAX) {
+        Err(ReplayError::Snapshot(SnapshotError::Malformed { error, .. })) => error.msg,
+        other => panic!("want a malformed-image error, got {other:?}"),
+    }
+}
+
+fn is_hex_word(v: &Json) -> bool {
+    v.as_str().is_some_and(|s| {
+        s.len() == 64
+            && s.bytes()
+                .all(|c| c.is_ascii_digit() || (b'a'..=b'f').contains(&c))
+    })
+}
+
+#[test]
+fn malformed_hex_words_fail_replay_with_typed_errors() {
+    let cell = recorded_cell(SystemKind::DramLess, Kernel::Gemver);
+    for (case, why) in [
+        ("odd length", "characters"),
+        ("wrong length", "characters"),
+        ("non-hex character", "non-hex"),
+        ("uppercase", "uppercase"),
+    ] {
+        let tamper = |v: &mut Json| {
+            let h = v.as_str().unwrap();
+            *v = Json::Str(match case {
+                "odd length" => h[1..].to_string(),
+                "wrong length" => format!("{h}00"),
+                "non-hex character" => format!("x{}", &h[1..]),
+                _ => format!("AB{}", &h[2..]),
+            });
+        };
+        let msg = replay_tampered(cell.clone(), &is_hex_word, &tamper);
+        assert!(msg.contains(why), "{case}: {msg}");
+    }
+}
+
+#[test]
+fn malformed_sparse_ftl_blocks_fail_replay_with_typed_errors() {
+    let cell = recorded_cell(SystemKind::IntegratedSlc, Kernel::Trisolv);
+    let has_touched = |v: &Json| {
+        v.get("touched")
+            .and_then(Json::as_arr)
+            .is_some_and(|t| !t.is_empty())
+    };
+    fn touched(v: &mut Json) -> &mut Vec<Json> {
+        v.get_mut("touched").and_then(Json::as_arr_mut).unwrap()
+    }
+    let msg = replay_tampered(cell.clone(), &has_touched, &|v| {
+        let dies = v.get("dies").cloned().unwrap();
+        touched(v)[0].as_arr_mut().unwrap()[0] = dies;
+    });
+    assert!(msg.contains("outside"), "die out of range: {msg}");
+    let msg = replay_tampered(cell.clone(), &has_touched, &|v| {
+        let blocks = v.get("blocks_per_die").cloned().unwrap();
+        touched(v)[0].as_arr_mut().unwrap()[1] = blocks;
+    });
+    assert!(msg.contains("outside"), "block out of range: {msg}");
+    let msg = replay_tampered(cell, &has_touched, &|v| {
+        let first = touched(v)[0].clone();
+        touched(v).push(first);
+    });
+    assert!(msg.contains("listed twice"), "listed twice: {msg}");
 }
