@@ -259,8 +259,6 @@ util::json_struct!(SchedRun {
 pub struct ScheduleCursor {
     start: Picos,
     agents: Vec<SchedRun>,
-    times: Vec<Picos>,
-    parked: Vec<bool>,
     wq: Vec<Picos>,
     psc: PowerSleepController,
     ipc_series: TimeSeries,
@@ -274,11 +272,59 @@ pub struct ScheduleCursor {
     stall_n: u64,
     stream_fp: Fnv64,
     // Transient fast-path caches. Deliberately excluded from snapshots
-    // (restore resets them): they only skip re-deriving bit-identical
-    // values, never change them.
+    // (restore rebuilds or resets them): they only skip re-deriving
+    // bit-identical values, never change them.
+    /// Per agent, its [`arbitration_key`]: the clock and index one
+    /// ordered word, so picking the next agent is a branch-free min.
+    keys: Vec<u128>,
+    /// Service time of one L1 hit and of one L2 hit (each a clock
+    /// division, fixed per accelerator).
+    l1_hit: Picos,
+    l2_hit: Picos,
     memo_compute: Option<(u64, Picos, Joules, f64)>,
     memo_stall: Option<(Picos, Joules, f64)>,
     buf: Vec<StreamOp>,
+}
+
+/// The arbitration key of agent `idx` at clock `time`: the clock in the
+/// high 64 bits and the index in the low 64, so keys order exactly as
+/// "earliest clock, then lowest index" (the scheduler's tie-break). No
+/// `Picos` or agent index can wrap it, and no runnable agent reaches
+/// [`PARKED`], since an index never equals `u64::MAX`.
+#[inline]
+fn arbitration_key(time: Picos, idx: usize) -> u128 {
+    (u128::from(time.as_ps()) << 64) | idx as u128
+}
+
+/// The key of an agent that has finished: above every runnable key.
+const PARKED: u128 = u128::MAX;
+
+/// The keys of `agents`, as a fresh cursor or a restored one holds them.
+fn arbitration_keys(agents: &[SchedRun]) -> Vec<u128> {
+    agents
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            if a.done {
+                PARKED
+            } else {
+                arbitration_key(a.time, i)
+            }
+        })
+        .collect()
+}
+
+/// The smallest and second-smallest key, without a data-dependent
+/// branch: each step is two compare-and-selects.
+#[inline]
+fn two_smallest(keys: &[u128]) -> (u128, u128) {
+    let mut best = PARKED;
+    let mut second = PARKED;
+    for &k in keys {
+        second = second.min(best.max(k));
+        best = best.min(k);
+    }
+    (best, second)
 }
 
 impl ScheduleCursor {
@@ -297,7 +343,7 @@ impl ScheduleCursor {
 
     /// Whether every agent has completed (the run can be finished).
     pub fn is_done(&self) -> bool {
-        self.parked.iter().all(|&p| p)
+        self.agents.iter().all(|a| a.done)
     }
 }
 
@@ -312,8 +358,24 @@ impl sim_core::Snapshot for ScheduleCursor {
         let data = util::json::Json::Obj(vec![
             ("start".to_string(), self.start.to_json()),
             ("agents".to_string(), self.agents.to_json()),
-            ("times".to_string(), self.times.to_json()),
-            ("parked".to_string(), self.parked.to_json()),
+            // Each agent's clock and parked flag: the arbitration state
+            // `restore` rebuilds the transient `keys` from.
+            (
+                "times".to_string(),
+                self.agents
+                    .iter()
+                    .map(|a| a.time)
+                    .collect::<Vec<_>>()
+                    .to_json(),
+            ),
+            (
+                "parked".to_string(),
+                self.agents
+                    .iter()
+                    .map(|a| a.done)
+                    .collect::<Vec<_>>()
+                    .to_json(),
+            ),
             ("wq".to_string(), self.wq.to_json()),
             ("psc".to_string(), self.psc.to_json()),
             ("ipc_series".to_string(), self.ipc_series.to_json()),
@@ -341,6 +403,20 @@ impl sim_core::Snapshot for ScheduleCursor {
                 "image was recorded under a different schedule (agent count differs)",
             ));
         }
+        let times: Vec<Picos> = field(data, "times").map_err(m)?;
+        let parked: Vec<bool> = field(data, "parked").map_err(m)?;
+        let agrees = times.len() == agents.len()
+            && parked.len() == agents.len()
+            && agents
+                .iter()
+                .zip(times.iter().zip(&parked))
+                .all(|(a, (&t, &p))| a.time == t && a.done == p);
+        if !agrees {
+            return Err(SnapshotError::malformed(
+                CURSOR_KIND,
+                util::json::JsonError::new("times/parked disagree with the agents' clocks"),
+            ));
+        }
         let wq: Vec<Picos> = field(data, "wq").map_err(m)?;
         if wq.len() != self.wq.len() {
             return Err(SnapshotError::shape(
@@ -349,9 +425,8 @@ impl sim_core::Snapshot for ScheduleCursor {
             ));
         }
         self.start = field(data, "start").map_err(m)?;
+        self.keys = arbitration_keys(&agents);
         self.agents = agents;
-        self.times = field(data, "times").map_err(m)?;
-        self.parked = field(data, "parked").map_err(m)?;
         self.wq = wq;
         self.psc = field(data, "psc").map_err(m)?;
         self.ipc_series = field(data, "ipc_series").map_err(m)?;
@@ -782,13 +857,15 @@ impl Accelerator {
             })
             .collect();
 
-        let times = agents.iter().map(|a| a.time).collect();
-        let parked = vec![false; agents.len()];
         ScheduleCursor {
             start,
+            keys: arbitration_keys(&agents),
             agents,
-            times,
-            parked,
+            // Hit service times are exact linear functions of the hit
+            // count (`Picos * u64` is integer-exact), so a run of hits
+            // collapses to one multiply without changing a picosecond.
+            l1_hit: cfg.pe.clock.cycles_to_time(cfg.pe.l1_hit_cycles),
+            l2_hit: cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles),
             // The MCU write queue, as a bare slot array for `run_stream`.
             wq: vec![Picos::ZERO; cfg.mcu_write_queue.max(1)],
             psc,
@@ -820,8 +897,9 @@ impl Accelerator {
     /// Advances the cursor by one arbitration slice: picks the globally
     /// earliest agent and batch-advances its ops while it stays strictly
     /// ahead of the runner-up — the same set of steps a rescan-per-op
-    /// loop would have given it. Returns `false` once every agent is
-    /// parked (nothing left to run).
+    /// loop would have given it. "Earliest" and "ahead" compare
+    /// arbitration keys, clock first and agent index second. Returns
+    /// `false` once every agent is parked (nothing left to run).
     ///
     /// Slice boundaries are the only legal snapshot points: between two
     /// calls the cursor holds no borrowed or half-applied state.
@@ -833,32 +911,15 @@ impl Accelerator {
     ) -> bool {
         let cfg = &self.config;
         let l2_line = cfg.l2.line;
-        // Hit service times are exact linear functions of the hit count
-        // (`Picos * u64` is integer-exact), so a run of hits collapses
-        // to one multiply without changing a single picosecond.
-        let l1_hit = cfg.pe.clock.cycles_to_time(cfg.pe.l1_hit_cycles);
-        let l2_hit = cfg.pe.clock.cycles_to_time(cfg.pe.l2_hit_cycles);
+        let (l1_hit, l2_hit) = (cur.l1_hit, cur.l2_hit);
         let start = cur.start;
 
-        let n = cur.agents.len();
-        let mut best = usize::MAX;
-        let mut second = usize::MAX;
-        for i in 0..n {
-            if cur.parked[i] {
-                continue;
-            }
-            if best == usize::MAX || cur.times[i] < cur.times[best] {
-                second = best;
-                best = i;
-            } else if second == usize::MAX || cur.times[i] < cur.times[second] {
-                second = i;
-            }
-        }
-        if best == usize::MAX {
+        let (best, runner_up) = two_smallest(&cur.keys);
+        if best == PARKED {
             return false;
         }
-        let idx = best;
-        let bound = (second != usize::MAX).then(|| (cur.times[second], second));
+        // The low half of a key is the agent index.
+        let idx = best as u64 as usize;
         let sa = &sched.agents[idx];
         let a = &mut cur.agents[idx];
         loop {
@@ -1039,15 +1100,17 @@ impl Accelerator {
                 }
             }
             a.step += 1;
-            // Keep going while this agent would win the rescan: the
-            // scheduler tie-breaks equal clocks by lowest index.
-            match bound {
-                Some((bt, bi)) if !(a.time < bt || (a.time == bt && idx < bi)) => break,
-                _ => {}
+            // Keep going while this agent would win the rescan. With no
+            // runner-up the bound is `PARKED`, which every key is below.
+            if arbitration_key(a.time, idx) >= runner_up {
+                break;
             }
         }
-        cur.times[idx] = cur.agents[idx].time;
-        cur.parked[idx] = cur.agents[idx].done;
+        cur.keys[idx] = if a.done {
+            PARKED
+        } else {
+            arbitration_key(a.time, idx)
+        };
         true
     }
 
@@ -1677,5 +1740,124 @@ mod sched_replay_tests {
             pram_a.energy().to_json().render(false),
             pram_c.energy().to_json().render(false)
         );
+    }
+
+    /// The rescan the packed keys replaced, as `advance_slice` ran it:
+    /// earliest unparked clock, ties to the lowest index. Returns the
+    /// `(best, runner_up)` indices, `usize::MAX` for none.
+    fn rescan(times: &[Picos], parked: &[bool]) -> (usize, usize) {
+        let mut best = usize::MAX;
+        let mut second = usize::MAX;
+        for i in 0..times.len() {
+            if parked[i] {
+                continue;
+            }
+            if best == usize::MAX || times[i] < times[best] {
+                second = best;
+                best = i;
+            } else if second == usize::MAX || times[i] < times[second] {
+                second = i;
+            }
+        }
+        (best, second)
+    }
+
+    /// A clock drawn to hit ties and the extremes of `Picos`.
+    fn draw_clock(rng: &mut util::rng::Rng64) -> Picos {
+        Picos::from_ps(match rng.range_u64(0, 3) {
+            0 => rng.range_u64(0, 3),
+            1 => u64::MAX - rng.range_u64(0, 2),
+            _ => rng.next_u64(),
+        })
+    }
+
+    #[test]
+    fn packed_pick_equals_the_reference_rescan() {
+        util::for_each_case!(2_000, |rng| {
+            let n = rng.range_usize(1, 16);
+            let agents: Vec<SchedRun> = (0..n)
+                .map(|_| SchedRun {
+                    step: 0,
+                    event: 0,
+                    time: draw_clock(&mut rng),
+                    stats: PeStats::default(),
+                    done: rng.range_u64(0, 3) == 0,
+                })
+                .collect();
+            let times: Vec<Picos> = agents.iter().map(|a| a.time).collect();
+            let parked: Vec<bool> = agents.iter().map(|a| a.done).collect();
+            let (best, runner_up) = two_smallest(&arbitration_keys(&agents));
+            let (want_best, want_second) = rescan(&times, &parked);
+            let key_of = |i: usize| {
+                if i == usize::MAX {
+                    PARKED
+                } else {
+                    arbitration_key(times[i], i)
+                }
+            };
+            assert_eq!(best, key_of(want_best));
+            assert_eq!(runner_up, key_of(want_second));
+            if want_best != usize::MAX {
+                assert_eq!(best as u64 as usize, want_best, "the low half is the index");
+            }
+        });
+    }
+
+    #[test]
+    fn key_order_is_clock_then_index_at_every_extreme() {
+        // The largest agent count `AccelConfig` admits is `usize::MAX - 1`
+        // (one PE is the server), so indices reach `usize::MAX - 2`.
+        let top = usize::MAX - 2;
+        util::for_each_case!(2_000, |rng| {
+            let mut draw_idx = || match rng.range_u64(0, 2) {
+                0 => rng.range_usize(0, 7),
+                1 => top - rng.range_usize(0, 2),
+                _ => rng.range_usize(0, top),
+            };
+            let (i, j) = (draw_idx(), draw_idx());
+            let (t, u) = (draw_clock(&mut rng), draw_clock(&mut rng));
+            let (a, b) = (arbitration_key(t, i), arbitration_key(u, j));
+            assert_eq!(a.cmp(&b), (t, i).cmp(&(u, j)), "({t:?},{i}) vs ({u:?},{j})");
+            assert!(a < PARKED && b < PARKED, "a runnable key never parks");
+            assert_eq!(a as u64 as usize, i);
+            // The stop rule: keep running while strictly ahead of the
+            // runner-up, exactly as the clock/index comparison said.
+            assert_eq!(a < b, t < u || (t == u && i < j));
+        });
+        assert!(arbitration_key(Picos::MAX, top) < PARKED);
+    }
+
+    #[test]
+    fn cursor_images_keep_times_and_parked_consistent() {
+        use pram_ctrl::{PramController, SchedulerKind, SubsystemConfig};
+        use sim_core::Snapshot;
+        let accel = Accelerator::new(AccelConfig::default());
+        let traces = stress_traces(3);
+        let sched = MemSchedule::build(&traces, accel.config().l1, accel.config().l2);
+        let mut pram = PramController::new(SubsystemConfig::small(SchedulerKind::Final, 4));
+        let mut cur = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram);
+        for _ in 0..5 {
+            accel.advance_slice(&mut cur, &sched, &mut pram);
+        }
+        let image = cur.snapshot();
+        let agents = image.data.get("agents").and_then(|a| a.as_arr()).unwrap();
+        let times = image.data.get("times").and_then(|a| a.as_arr()).unwrap();
+        for (a, t) in agents.iter().zip(times) {
+            assert_eq!(a.get("time"), Some(t));
+        }
+
+        // An image whose arbitration state contradicts its agents is
+        // refused rather than replayed.
+        let mut bad = image.clone();
+        let t0 = bad
+            .data
+            .get_mut("times")
+            .and_then(|t| t.as_arr_mut())
+            .unwrap();
+        t0[0] = util::json::Json::U64(1);
+        let mut fresh = accel.schedule_cursor(Picos::ZERO, &sched, &mut pram);
+        let err = fresh.restore(&bad).unwrap_err();
+        assert!(err.to_string().contains("disagree"), "{err}");
+        fresh.restore(&image).expect("the untouched image restores");
     }
 }

@@ -90,9 +90,12 @@ fn pack2(tag: u64, lo: u64, hi: u64) -> Option<u64> {
     (lo <= HALF_MASK && hi <= HALF_MASK).then_some(tag | (lo << 2) | (hi << (2 + HALF_BITS)))
 }
 
+/// Packs a 62-bit payload under a tag. A larger payload would lose its
+/// top bits and replay as a different address, so it panics in every
+/// build profile.
 #[inline]
 fn pack_addr(tag: u64, value: u64) -> u64 {
-    debug_assert!(value < 1 << 62, "replay payload exceeds 62 bits");
+    assert!(value < 1 << 62, "replay payload exceeds 62 bits");
     tag | (value << 2)
 }
 
@@ -532,5 +535,36 @@ mod tests {
         assert_eq!(s.fills(), 0);
         assert_eq!(s.writebacks(), 0);
         assert_eq!(s.instructions(), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay payload exceeds 62 bits")]
+    fn pack_addr_rejects_payloads_past_62_bits() {
+        pack_addr(TAG_FILL, 1 << 62);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay payload exceeds 62 bits")]
+    fn schedules_refuse_fill_addresses_past_62_bits() {
+        let mut t = Trace::new();
+        t.load(1 << 62, 8);
+        MemSchedule::build(&[t], CacheConfig::l1(), CacheConfig::l2());
+    }
+
+    #[test]
+    fn the_largest_packed_fill_address_replays_unchanged() {
+        let l2 = CacheConfig::l2();
+        let top = (1u64 << 62) - u64::from(l2.line);
+        let mut t = Trace::new();
+        t.load(top, 8);
+        let s = MemSchedule::build(&[t], CacheConfig::l1(), l2);
+        let a = &s.agents[0];
+        let fills: Vec<u64> = (0..a.event_count())
+            .filter_map(|i| match a.event(i) {
+                ReplayEvent::Fill(addr) => Some(addr),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fills, vec![top]);
     }
 }

@@ -126,6 +126,8 @@ impl AddressMap {
             map: *self,
             cur: addr,
             end: addr + len as u64,
+            target: self.decompose(addr),
+            offset: addr % self.word_bytes,
         }
     }
 
@@ -143,28 +145,53 @@ impl AddressMap {
 
 /// Iterator over the word-aligned fragments of one request (see
 /// [`AddressMap::frags`]).
+///
+/// Only the first fragment's target comes from
+/// [`AddressMap::decompose`]. Every later fragment starts on a word
+/// boundary one word further on, so its target is the previous one
+/// stepped by a module, wrapping into the next channel and then into the
+/// next module word. That walk is the same striping function with no
+/// division per word.
 #[derive(Debug, Clone)]
 pub struct FragIter {
     map: AddressMap,
     cur: u64,
     end: u64,
+    /// Target of the fragment starting at `cur`.
+    target: Target,
+    /// Byte offset of `cur` within its word (non-zero only at the start
+    /// of an unaligned request).
+    offset: u64,
 }
 
 impl Iterator for FragIter {
     type Item = Fragment;
 
+    #[inline]
     fn next(&mut self) -> Option<Fragment> {
         if self.cur >= self.end {
             return None;
         }
-        let word_end = (self.cur / self.map.word_bytes + 1) * self.map.word_bytes;
-        let frag_end = word_end.min(self.end);
+        let wb = self.map.word_bytes;
+        let frag_end = (self.cur - self.offset + wb).min(self.end);
         let frag = Fragment {
-            target: self.map.decompose(self.cur),
+            target: self.target,
             global_addr: self.cur,
             len: (frag_end - self.cur) as u32,
         };
         self.cur = frag_end;
+        let t = &mut self.target;
+        t.module_addr -= self.offset;
+        self.offset = 0;
+        t.module += 1;
+        if t.module == self.map.modules_per_channel {
+            t.module = 0;
+            t.channel += 1;
+            if t.channel == self.map.channels {
+                t.channel = 0;
+                t.module_addr += wb;
+            }
+        }
         Some(frag)
     }
 }
@@ -241,6 +268,64 @@ mod tests {
         let ch0 = frags.iter().filter(|f| f.target.channel == 0).count();
         let ch1 = frags.iter().filter(|f| f.target.channel == 1).count();
         assert_eq!((ch0, ch1), (16, 16));
+    }
+
+    /// The fragments of `[addr, addr+len)` from one `decompose` per
+    /// word: what [`FragIter`] computed before it walked incrementally.
+    fn per_word_reference(m: &AddressMap, addr: u64, len: u32) -> Vec<Fragment> {
+        let (mut cur, end) = (addr, addr + len as u64);
+        let mut out = Vec::new();
+        while cur < end {
+            let frag_end = ((cur / m.word_bytes + 1) * m.word_bytes).min(end);
+            out.push(Fragment {
+                target: m.decompose(cur),
+                global_addr: cur,
+                len: (frag_end - cur) as u32,
+            });
+            cur = frag_end;
+        }
+        out
+    }
+
+    #[test]
+    fn incremental_walk_matches_per_word_decompose() {
+        // The paper map and a map with no power-of-two factor, so a walk
+        // that leaned on shifts or masks would diverge.
+        let maps = [
+            AddressMap::paper(),
+            AddressMap {
+                channels: 3,
+                modules_per_channel: 12,
+                word_bytes: 24,
+            },
+            AddressMap {
+                channels: 1,
+                modules_per_channel: 1,
+                word_bytes: 32,
+            },
+        ];
+        util::for_each_case!(256, |rng| {
+            let m = maps[rng.range_usize(0, maps.len() - 1)];
+            // Requests from one byte to a 4 KiB page and beyond, starting
+            // anywhere: aligned, mid-word, and close to the top of the
+            // address space (short of its last word, whose end does not
+            // fit a u64).
+            let len = match rng.range_u64(0, 3) {
+                0 => rng.range_u64(1, 2 * m.word_bytes),
+                1 => 4096,
+                _ => rng.range_u64(1, 20_000),
+            } as u32;
+            let addr = match rng.range_u64(0, 2) {
+                0 => rng.range_u64(0, 1 << 20) * m.word_bytes,
+                1 => rng.range_u64(0, 1 << 40),
+                _ => u64::MAX - len as u64 - 64 - rng.range_u64(0, 1 << 16),
+            };
+            assert_eq!(
+                m.split(addr, len),
+                per_word_reference(&m, addr, len),
+                "{m:?} addr {addr:#x} len {len}"
+            );
+        });
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::sched::SchedulerKind;
 use crate::wear::StartGap;
 use pram::cell::WORD_BYTES;
 use pram::overlay::regs;
-use pram::timing::{BurstLen, PramTiming};
-use pram::PramChannel;
+use pram::timing::{BurstLen, PhaseClock, PramTiming};
+use pram::{PramChannel, RowId};
 use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::fault::{domain, FaultCounters, FaultPlan};
 use sim_core::mem::{Access, MemoryBackend};
@@ -40,6 +40,9 @@ use util::telemetry::{MetricSet, Track};
 
 /// Per-word-operation FPGA logic energy (translator + command generator).
 const E_CTRL_OP: Joules = Joules::from_pj(200);
+
+/// An empty decode memo: no module byte address reaches `u64::MAX`.
+const NO_DECODE: (u64, RowId) = (u64::MAX, RowId::new(0, 0));
 
 /// Advances an optional latency-attribution span. A no-op when
 /// attribution is off (`attr` is `None`), so the fragment paths pay one
@@ -242,6 +245,14 @@ pub struct PramController {
     /// ledger lookups on that path showed up in profiles.
     ctrl_energy: EnergyAccount,
     probe: Probe,
+    // Transient, never in images: values derived from `cfg` and the
+    // module geometry, kept so the per-word paths skip re-deriving them.
+    /// `cfg.timing`'s per-access constants.
+    clock: PhaseClock,
+    /// The last `(module byte address, row)` decode. Every module shares
+    /// one geometry, and the words of a multi-word request land on the
+    /// same module address in each module of a stripe.
+    last_decode: (u64, RowId),
 }
 
 impl PramController {
@@ -297,6 +308,8 @@ impl PramController {
             stats: CtrlStats::default(),
             ctrl_energy: EnergyAccount::default(),
             probe: Probe::disabled(),
+            clock: cfg.timing.phase_clock(),
+            last_decode: NO_DECODE,
             cfg,
         }
     }
@@ -367,6 +380,15 @@ impl PramController {
             "rdb",
             (ch * self.cfg.map.modules_per_channel + module) as u32,
         )
+    }
+
+    /// The device row holding a (remapped) module byte address.
+    fn module_row(&mut self, ch: usize, md: usize, addr: u64) -> RowId {
+        if self.last_decode.0 != addr {
+            let (row, _) = self.channels[ch].module(md).geometry().decode(addr);
+            self.last_decode = (addr, row);
+        }
+        self.last_decode.1
     }
 
     /// Applies the start-gap remap to a (retirement-resolved) module byte
@@ -524,21 +546,12 @@ impl PramController {
         let md = frag.target.module;
         let rdb_track = self.rdb_track(ch_idx, md);
         let sync = self.cfg.phy.sync_latency;
-        let tck = self.cfg.timing.tck();
+        let tck = self.clock.tck;
         let wb = self.cfg.map.word_bytes;
-        let line = frag.target.module_addr / wb;
         let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
         let mapped_addr = self.wear_remap(earliest, frag, resolved, false);
-        let phys_slot = mapped_addr / wb;
-        let lower_bits;
-        let row;
-        {
-            let ch = &mut self.channels[ch_idx];
-            let (module, _, _) = ch.module_and_buses(frag.target.module);
-            lower_bits = module.geometry().lower_row_bits;
-            let (r, _off) = module.geometry().decode(mapped_addr);
-            row = r;
-        }
+        let row = self.module_row(ch_idx, md, mapped_addr);
+        let lower_bits = self.channels[ch_idx].module(md).geometry().lower_row_bits;
 
         let plan = {
             let module = self.channels[ch_idx].module(frag.target.module);
@@ -596,7 +609,7 @@ impl PramController {
         } else {
             (module.read_burst_timed(t + tck, bus_free, ba, 0, bl), None)
         };
-        let tburst = self.cfg.timing.tburst(bl);
+        let tburst = self.clock.tburst(bl);
         dq_bus.reserve(rt.end - tburst, tburst);
         // Full RAB+RDB hit ⇒ the pre-burst window is buffer read-out, not
         // an array sense; otherwise the sense amps are doing the work.
@@ -624,6 +637,8 @@ impl PramController {
         // reads re-sense until the data lands).
         let mut data_ready = rt.end;
         if let Some(fs) = self.faults.as_mut() {
+            let line = frag.target.module_addr / wb;
+            let phys_slot = mapped_addr / wb;
             let st = fs.lines[ch_idx][md].entry(line).or_default();
             st.reads += 1;
             let read_idx = st.reads;
@@ -784,9 +799,14 @@ impl PramController {
         };
         let rdb_track = self.rdb_track(ch_idx, md);
         let sync = self.cfg.phy.sync_latency;
-        let tck = self.cfg.timing.tck();
+        let tck = self.clock.tck;
         let treset = self.cfg.timing.t_reset_extra + self.cfg.timing.twra;
-        let wi = self.cfg.map.word_index(frag.global_addr);
+        // Only the selective-erase bookkeeping keys on the word index.
+        let wi = if selective {
+            self.cfg.map.word_index(frag.global_addr)
+        } else {
+            0
+        };
 
         adv(&mut attr, Cause::QueueWait, earliest);
 
@@ -799,15 +819,10 @@ impl PramController {
         adv(&mut attr, Cause::ArrayAccess, t0);
 
         let wb = self.cfg.map.word_bytes;
-        let line = frag.target.module_addr / wb;
         let resolved = self.retire_resolve(ch_idx, md, frag.target.module_addr);
         let mapped_addr = self.wear_remap(t0, frag, resolved, true);
-        let phys_slot = mapped_addr / wb;
         let word_addr = mapped_addr & !(WORD_BYTES as u64 - 1);
-        let row = {
-            let module = self.channels[ch_idx].module(md);
-            module.geometry().decode(word_addr).0
-        };
+        let row = self.module_row(ch_idx, md, word_addr);
 
         // Selective erasing: if this word was announced as an overwrite
         // target, holds stale data, and both the word and its partition
@@ -857,7 +872,7 @@ impl PramController {
             adv(&mut attr, Cause::BurstWait, issue);
             adv(&mut attr, Cause::DataBurst, w.end);
             let bl = BurstLen::covering(bytes.len() as u32);
-            let tburst = self.cfg.timing.tburst(bl);
+            let tburst = self.clock.tburst(bl);
             dq_bus.reserve(w.end - tburst, tburst);
             t = w.end;
         }
@@ -883,7 +898,7 @@ impl PramController {
         let fill = module.write_overlay(issue, regs::PROGRAM_BUFFER, &word);
         adv(&mut attr, Cause::BurstWait, issue);
         adv(&mut attr, Cause::DataBurst, fill.end);
-        let tburst = self.cfg.timing.tburst(BurstLen::Bl16);
+        let tburst = self.clock.tburst(BurstLen::Bl16);
         dq_bus.reserve(fill.end - tburst, tburst);
         t = fill.end;
 
@@ -899,6 +914,8 @@ impl PramController {
         // requester latency — until buffer pressure surfaces it.
         let mut prog_end = prog.end;
         if let Some(fs) = self.faults.as_mut() {
+            let line = frag.target.module_addr / wb;
+            let phys_slot = mapped_addr / wb;
             let st = fs.lines[ch_idx][md].entry(line).or_default();
             st.writes += 1;
             st.reads_since_write = 0;
@@ -1036,6 +1053,16 @@ impl sim_core::Snapshot for PramController {
         if channels.len() != self.channels.len() {
             return Err(SnapshotError::shape(CTRL_KIND, "channel count differs"));
         }
+        let geometry = *self.channels[0].module(0).geometry();
+        if channels
+            .iter()
+            .any(|ch| ch.modules().any(|md| *md.geometry() != geometry))
+        {
+            return Err(SnapshotError::shape(
+                CTRL_KIND,
+                "image holds a module of a different geometry",
+            ));
+        }
         let announced: Vec<u64> = field(data, "announced").map_err(m)?;
         let last_touch = sim_core::snapshot::pairs_from::<Picos>(
             data.get("last_touch").unwrap_or(&util::json::Json::Null),
@@ -1051,6 +1078,7 @@ impl sim_core::Snapshot for PramController {
         self.faults = faults.map(Box::new);
         self.stats = field(data, "stats").map_err(m)?;
         self.ctrl_energy = field(data, "ctrl_energy").map_err(m)?;
+        self.last_decode = NO_DECODE;
         // `probe` is a runtime attachment, deliberately left untouched.
         Ok(())
     }

@@ -18,7 +18,7 @@
 //! The array is sparse: unwritten rows are pristine zeros.
 
 use crate::geometry::{PartitionId, PramGeometry, RowId};
-use std::collections::HashMap;
+use util::fxhash::FxHashMap;
 use util::json::{field, FromJson, Json, JsonError, ToJson};
 
 /// Size of one program unit (row word) in bytes.
@@ -86,7 +86,10 @@ util::json_unit_enum!(ProgramKind {
 #[derive(Debug, Clone)]
 pub struct CellArray {
     geometry: PramGeometry,
-    rows: HashMap<RowId, Word>,
+    /// `geometry.rows_per_partition()`, which divides: the bound every
+    /// access checks its row against.
+    rows_per_partition: u32,
+    rows: FxHashMap<RowId, Word>,
     programs: u64,
     overwrites: u64,
     selective_erases: u64,
@@ -170,6 +173,7 @@ impl FromJson for CellArray {
         }
         Ok(CellArray {
             geometry,
+            rows_per_partition: geometry.rows_per_partition(),
             rows: rows.into_iter().map(|RowImage(r, w)| (r, w)).collect(),
             programs: field(v, "programs").map_err(ctx)?,
             overwrites: field(v, "overwrites").map_err(ctx)?,
@@ -184,7 +188,8 @@ impl CellArray {
     pub fn new(geometry: PramGeometry) -> Self {
         CellArray {
             geometry,
-            rows: HashMap::new(),
+            rows_per_partition: geometry.rows_per_partition(),
+            rows: FxHashMap::default(),
             programs: 0,
             overwrites: 0,
             selective_erases: 0,
@@ -224,9 +229,24 @@ impl CellArray {
     ///
     /// Panics if the row is outside the geometry.
     pub fn program(&mut self, row: RowId, data: &[u8; WORD_BYTES]) -> ProgramKind {
+        self.program_prefix(row, data)
+    }
+
+    /// Programs the first `data.len()` bytes of a word and keeps the rest
+    /// of its stored bytes: the device's read-modify-write of a partial
+    /// program burst, in one row lookup. Otherwise as
+    /// [`CellArray::program`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is outside the geometry or `data` is longer than
+    /// a word.
+    pub fn program_prefix(&mut self, row: RowId, data: &[u8]) -> ProgramKind {
         self.check_row(row);
-        let all_zero = data.iter().all(|&b| b == 0);
         let entry = self.rows.entry(row).or_default();
+        let mut word = entry.data;
+        word[..data.len()].copy_from_slice(data);
+        let all_zero = word.iter().all(|&b| b == 0);
         let was_pristine = entry.pristine;
         entry.programs += 1;
         self.programs += 1;
@@ -240,7 +260,7 @@ impl CellArray {
                 ProgramKind::SelectiveErase
             }
         } else {
-            entry.data = *data;
+            entry.data = word;
             entry.pristine = false;
             if was_pristine {
                 ProgramKind::SetOnly
@@ -283,8 +303,12 @@ impl CellArray {
         )
     }
 
+    #[inline]
     fn check_row(&self, row: RowId) {
-        assert!(self.geometry.contains(row), "row {row} outside geometry");
+        assert!(
+            row.partition.0 < self.geometry.partitions && row.array_row < self.rows_per_partition,
+            "row {row} outside geometry"
+        );
     }
 }
 
@@ -426,6 +450,28 @@ mod tests {
         reject("hex word", &|rows| {
             rows[0].as_arr_mut().unwrap()[2] = Json::Str("0101".into());
         });
+    }
+
+    #[test]
+    fn prefix_programs_merge_over_the_stored_word() {
+        let mut cells = arr();
+        let row = RowId::new(2, 40);
+        assert_eq!(cells.program_prefix(row, &[0; 8]), ProgramKind::NoopErase);
+        assert_eq!(cells.program_prefix(row, &[3; 8]), ProgramKind::SetOnly);
+        let mut want = [0u8; WORD_BYTES];
+        want[..8].fill(3);
+        assert_eq!(cells.read(row), want);
+        // Zeroing the programmed prefix leaves an all-zero word: the
+        // selective-erase primitive, as a full-word zero program is.
+        assert_eq!(
+            cells.program_prefix(row, &[0; 8]),
+            ProgramKind::SelectiveErase
+        );
+        assert!(cells.is_pristine(row));
+        cells.program(row, &[7; WORD_BYTES]);
+        assert_eq!(cells.program_prefix(row, &[1; 4]), ProgramKind::Overwrite);
+        assert_eq!(cells.read(row)[..6], [1, 1, 1, 1, 7, 7]);
+        assert_eq!(cells.op_counts(), (5, 1, 1, 0));
     }
 
     #[test]

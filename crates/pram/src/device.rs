@@ -16,7 +16,7 @@ use crate::buffers::{BufferId, RowBufferSet};
 use crate::cell::{CellArray, ProgramKind, WORD_BYTES};
 use crate::geometry::{LowerRow, PartitionId, PramGeometry, RowId, UpperRow};
 use crate::overlay::{OverlayStatus, OverlayWindow, StagedProgram};
-use crate::timing::{BurstLen, PramTiming};
+use crate::timing::{BurstLen, PhaseClock, PramTiming};
 use sim_core::energy::{EnergyAccount, EnergyBook, Joules};
 use sim_core::time::Picos;
 use sim_core::timeline::TimelineBank;
@@ -176,11 +176,45 @@ impl ModuleEnergy {
     }
 }
 
+/// A module's timing parameters plus the [`PhaseClock`] derived from
+/// them. Images carry only the parameters and loading re-derives the
+/// clock, so the two can never disagree.
+#[derive(Debug, Clone, Copy)]
+struct ModuleTiming {
+    params: PramTiming,
+    clock: PhaseClock,
+}
+
+impl ModuleTiming {
+    fn new(params: PramTiming) -> Self {
+        ModuleTiming {
+            clock: params.phase_clock(),
+            params,
+        }
+    }
+}
+
+impl util::json::ToJson for ModuleTiming {
+    fn to_json(&self) -> util::json::Json {
+        self.params.to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.params.write_json(out);
+    }
+}
+
+impl util::json::FromJson for ModuleTiming {
+    fn from_json(v: &util::json::Json) -> Result<Self, util::json::JsonError> {
+        PramTiming::from_json(v).map(ModuleTiming::new)
+    }
+}
+
 /// One PRAM package: 1 bank × 16 partitions with 4 row buffers and an
 /// overlay window, per Section II.
 #[derive(Debug, Clone)]
 pub struct PramModule {
-    timing: PramTiming,
+    timing: ModuleTiming,
     geometry: PramGeometry,
     cells: CellArray,
     buffers: RowBufferSet,
@@ -230,7 +264,7 @@ impl PramModule {
             partitions: TimelineBank::new(geometry.partitions as usize),
             cells: CellArray::new(geometry),
             overlay: OverlayWindow::new(0),
-            timing,
+            timing: ModuleTiming::new(timing),
             geometry,
             rng: SimRng::seed(seed ^ 0x50524145), // "PRAE"
             energy: ModuleEnergy::default(),
@@ -256,7 +290,7 @@ impl PramModule {
 
     /// The timing parameter set.
     pub fn timing(&self) -> &PramTiming {
-        &self.timing
+        &self.timing.params
     }
 
     /// The geometry.
@@ -321,7 +355,7 @@ impl PramModule {
         self.energy.rab.charge(energy::PRE_ACTIVE);
         PhaseTiming {
             start: at,
-            end: at + self.timing.trp(),
+            end: at + self.timing.clock.trp,
         }
     }
 
@@ -366,9 +400,9 @@ impl PramModule {
             if let Some(w) = self.program_windows[p] {
                 if at >= w.start && at < w.end {
                     let remaining = w.end - at;
-                    let start = at + self.timing.t_pause_resume;
-                    let end = start + self.timing.trcd;
-                    let resumed_end = end + remaining + self.timing.t_pause_resume;
+                    let start = at + self.timing.params.t_pause_resume;
+                    let end = start + self.timing.params.trcd;
+                    let resumed_end = end + remaining + self.timing.params.t_pause_resume;
                     self.partitions.get_mut(p).block_until(resumed_end);
                     self.program_windows[p] = Some(PhaseTiming {
                         start: end,
@@ -387,8 +421,8 @@ impl PramModule {
             }
         }
         let lane = self.partitions.get_mut(p);
-        let start = lane.reserve(at, self.timing.trcd);
-        let end = start + self.timing.trcd;
+        let start = lane.reserve(at, self.timing.params.trcd);
+        let end = start + self.timing.params.trcd;
         let data = self.cells.read(row);
         self.buffers.fill_rdb(ba, row, data);
         self.stats.activates += 1;
@@ -477,9 +511,9 @@ impl PramModule {
             hi <= WORD_BYTES,
             "burst overruns row word: col={col} {bl:?}"
         );
-        let preamble = self.timing.rl() + self.timing.sample_tdqsck(&mut self.rng);
+        let preamble = self.timing.clock.rl + self.timing.clock.sample_tdqsck(&mut self.rng);
         let burst_start = (cmd_at + preamble).max(bus_free);
-        let end = burst_start + self.timing.tburst(bl);
+        let end = burst_start + self.timing.clock.tburst(bl);
         self.stats.read_bursts += 1;
         self.energy
             .bus
@@ -519,8 +553,8 @@ impl PramModule {
     pub fn write_overlay(&mut self, at: Picos, offset: u64, data: &[u8]) -> PhaseTiming {
         use crate::overlay::regs;
         let bl = BurstLen::covering(data.len() as u32);
-        let preamble = self.timing.wl() + self.timing.sample_tdqss(&mut self.rng);
-        let end = at + preamble + self.timing.tburst(bl);
+        let preamble = self.timing.clock.wl + self.timing.clock.sample_tdqss(&mut self.rng);
+        let end = at + preamble + self.timing.clock.tburst(bl);
         self.stats.write_bursts += 1;
         self.energy
             .bus
@@ -570,27 +604,27 @@ impl PramModule {
         let (row, offset) = self.geometry.decode(staged.target_addr);
         assert_eq!(offset, 0, "programs are word-aligned");
         // Read-modify-write semantics for partial bursts.
-        let mut word = self.cells.read(row);
         let n = staged.burst_bytes.min(WORD_BYTES as u32) as usize;
-        word[..n].copy_from_slice(&staged.data[..n]);
-
-        let kind = self.cells.program(row, &word);
+        let kind = self.cells.program_prefix(row, &staged.data[..n]);
         let (cell_time, e) = match kind {
             ProgramKind::SetOnly => {
                 self.stats.set_only_programs += 1;
-                (self.timing.t_program_set, energy::PROGRAM_SET)
+                (self.timing.params.t_program_set, energy::PROGRAM_SET)
             }
             ProgramKind::Overwrite => {
                 self.stats.overwrite_programs += 1;
                 (
-                    self.timing.t_program_overwrite(),
+                    self.timing.params.t_program_overwrite(),
                     energy::PROGRAM_SET + energy::PROGRAM_RESET_EXTRA,
                 )
             }
             ProgramKind::SelectiveErase => {
                 self.stats.selective_erases += 1;
                 // RESET pulses only: the t_reset_extra component.
-                (self.timing.t_reset_extra, energy::PROGRAM_RESET_EXTRA)
+                (
+                    self.timing.params.t_reset_extra,
+                    energy::PROGRAM_RESET_EXTRA,
+                )
             }
             ProgramKind::NoopErase => (Picos::ZERO, Joules::ZERO),
         };
@@ -598,7 +632,7 @@ impl PramModule {
         self.energy.program.charge(e);
 
         let lane = self.partitions.get_mut(row.partition.0 as usize);
-        let dur = cell_time + self.timing.twra;
+        let dur = cell_time + self.timing.params.twra;
         let start = lane.reserve(at, dur);
         let end = start + dur;
         self.buffers.invalidate_row(row);
@@ -616,26 +650,29 @@ impl PramModule {
         let word = self.cells.read(from);
         let sense = {
             let lane = self.partitions.get_mut(from.partition.0 as usize);
-            let start = lane.reserve(at, self.timing.trcd);
+            let start = lane.reserve(at, self.timing.params.trcd);
             PhaseTiming {
                 start,
-                end: start + self.timing.trcd,
+                end: start + self.timing.params.trcd,
             }
         };
         self.energy.sense.charge(energy::ACTIVATE_SENSE);
         let kind = self.cells.program(to, &word);
         let (cell_time, e) = match kind {
-            ProgramKind::SetOnly => (self.timing.t_program_set, energy::PROGRAM_SET),
+            ProgramKind::SetOnly => (self.timing.params.t_program_set, energy::PROGRAM_SET),
             ProgramKind::Overwrite => (
-                self.timing.t_program_overwrite(),
+                self.timing.params.t_program_overwrite(),
                 energy::PROGRAM_SET + energy::PROGRAM_RESET_EXTRA,
             ),
-            ProgramKind::SelectiveErase => (self.timing.t_reset_extra, energy::PROGRAM_RESET_EXTRA),
+            ProgramKind::SelectiveErase => (
+                self.timing.params.t_reset_extra,
+                energy::PROGRAM_RESET_EXTRA,
+            ),
             ProgramKind::NoopErase => (Picos::ZERO, Joules::ZERO),
         };
         self.energy.program.charge(e);
         let lane = self.partitions.get_mut(to.partition.0 as usize);
-        let dur = cell_time + self.timing.twra;
+        let dur = cell_time + self.timing.params.twra;
         let start = lane.reserve(sense.end, dur);
         self.buffers.invalidate_row(from);
         self.buffers.invalidate_row(to);
@@ -660,7 +697,7 @@ impl PramModule {
         self.stats.selective_erases += 1;
         self.energy.program.charge(energy::PROGRAM_RESET_EXTRA);
         let lane = self.partitions.get_mut(row.partition.0 as usize);
-        let dur = self.timing.t_reset_extra + self.timing.twra;
+        let dur = self.timing.params.t_reset_extra + self.timing.params.twra;
         let start = lane.reserve(at, dur);
         self.buffers.invalidate_row(row);
         PhaseTiming {
@@ -684,8 +721,8 @@ impl PramModule {
     /// word and stalls all requests to the partition (§V-A).
     pub fn erase_partition(&mut self, at: Picos, p: PartitionId) -> PhaseTiming {
         let lane = self.partitions.get_mut(p.0 as usize);
-        let start = lane.reserve(at, self.timing.t_erase);
-        let end = start + self.timing.t_erase;
+        let start = lane.reserve(at, self.timing.params.t_erase);
+        let end = start + self.timing.params.t_erase;
         self.cells.erase_partition(p);
         self.buffers.invalidate_all();
         self.stats.partition_erases += 1;

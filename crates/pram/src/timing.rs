@@ -15,6 +15,7 @@
 
 use sim_core::time::{Freq, Picos};
 use sim_core::SimRng;
+use util::rng::UniformU64;
 
 /// LPDDR2-NVM burst length selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -207,14 +208,17 @@ impl PramTiming {
         self.clock.cycles_to_time(bl.cycles())
     }
 
-    /// Samples the read strobe window (tDQSCK) uniformly.
-    pub fn sample_tdqsck(&self, rng: &mut SimRng) -> Picos {
-        Picos::from_ps(rng.range_u64(self.tdqsck_min.as_ps(), self.tdqsck_max.as_ps()))
-    }
-
-    /// Samples the write strobe window (tDQSS) uniformly.
-    pub fn sample_tdqss(&self, rng: &mut SimRng) -> Picos {
-        Picos::from_ps(rng.range_u64(self.tdqss_min.as_ps(), self.tdqss_max.as_ps()))
+    /// The per-access constants of this parameter set, worked out once.
+    pub fn phase_clock(&self) -> PhaseClock {
+        PhaseClock {
+            tck: self.tck(),
+            trp: self.trp(),
+            rl: self.rl(),
+            wl: self.wl(),
+            tburst: [BurstLen::Bl4, BurstLen::Bl8, BurstLen::Bl16].map(|bl| self.tburst(bl)),
+            tdqsck: UniformU64::new(self.tdqsck_min.as_ps(), self.tdqsck_max.as_ps()),
+            tdqss: UniformU64::new(self.tdqss_min.as_ps(), self.tdqss_max.as_ps()),
+        }
     }
 
     /// Cell program time for an overwrite (RESET + SET).
@@ -230,6 +234,51 @@ impl PramTiming {
     pub fn nominal_read(&self) -> Picos {
         let dqsck = (self.tdqsck_min + self.tdqsck_max) / 2;
         self.trp() + self.trcd + self.rl() + dqsck + self.tburst(BurstLen::Bl16)
+    }
+}
+
+/// The constants every phase of a device access needs, derived once
+/// from a [`PramTiming`] (see [`PramTiming::phase_clock`]).
+///
+/// Each cycle-count conversion behind [`PramTiming::rl`],
+/// [`PramTiming::tburst`] and friends divides by the clock frequency, and
+/// a strobe draw re-derives its rejection zone; the per-word access path
+/// reads them from here instead. The values equal the parameter set's
+/// own methods, and each strobe draw equals a `range_u64` draw over its
+/// window from the same generator state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseClock {
+    /// One interface cycle ([`PramTiming::tck`]).
+    pub tck: Picos,
+    /// Pre-active phase ([`PramTiming::trp`]).
+    pub trp: Picos,
+    /// Read latency ([`PramTiming::rl`]).
+    pub rl: Picos,
+    /// Write latency ([`PramTiming::wl`]).
+    pub wl: Picos,
+    /// Burst durations of BL4, BL8 and BL16.
+    tburst: [Picos; 3],
+    tdqsck: UniformU64,
+    tdqss: UniformU64,
+}
+
+impl PhaseClock {
+    /// Burst duration for a burst length ([`PramTiming::tburst`]).
+    #[inline]
+    pub fn tburst(&self, bl: BurstLen) -> Picos {
+        self.tburst[bl as usize]
+    }
+
+    /// Samples the read strobe window (tDQSCK) uniformly.
+    #[inline]
+    pub fn sample_tdqsck(&self, rng: &mut SimRng) -> Picos {
+        Picos::from_ps(rng.sample(&self.tdqsck))
+    }
+
+    /// Samples the write strobe window (tDQSS) uniformly.
+    #[inline]
+    pub fn sample_tdqss(&self, rng: &mut SimRng) -> Picos {
+        Picos::from_ps(rng.sample(&self.tdqss))
     }
 }
 
@@ -293,12 +342,40 @@ mod tests {
     #[test]
     fn strobe_samples_stay_in_window() {
         let t = PramTiming::table2();
+        let clock = t.phase_clock();
         let mut rng = SimRng::seed(1);
         for _ in 0..500 {
-            let dqsck = t.sample_tdqsck(&mut rng);
+            let dqsck = clock.sample_tdqsck(&mut rng);
             assert!(dqsck >= t.tdqsck_min && dqsck <= t.tdqsck_max);
-            let dqss = t.sample_tdqss(&mut rng);
+            let dqss = clock.sample_tdqss(&mut rng);
             assert!(dqss >= t.tdqss_min && dqss <= t.tdqss_max);
+        }
+    }
+
+    #[test]
+    fn phase_clock_matches_the_parameter_methods_and_draws() {
+        for t in [PramTiming::table2(), PramTiming::nor_interface()] {
+            let clock = t.phase_clock();
+            assert_eq!(
+                (clock.tck, clock.trp, clock.rl, clock.wl),
+                (t.tck(), t.trp(), t.rl(), t.wl())
+            );
+            for bl in [BurstLen::Bl4, BurstLen::Bl8, BurstLen::Bl16] {
+                assert_eq!(clock.tburst(bl), t.tburst(bl));
+            }
+            // The prepared windows draw what a per-call range draw would,
+            // from the same generator state.
+            let (mut hoisted, mut per_call) = (SimRng::seed(9), SimRng::seed(9));
+            for _ in 0..1000 {
+                assert_eq!(
+                    clock.sample_tdqsck(&mut hoisted).as_ps(),
+                    per_call.range_u64(t.tdqsck_min.as_ps(), t.tdqsck_max.as_ps())
+                );
+                assert_eq!(
+                    clock.sample_tdqss(&mut hoisted).as_ps(),
+                    per_call.range_u64(t.tdqss_min.as_ps(), t.tdqss_max.as_ps())
+                );
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! The generator is the in-tree SplitMix64-seeded xoshiro256++ from
 //! [`util::rng`]; nothing here touches external crates or OS entropy.
 
-use util::rng::Rng64;
+use util::rng::{Rng64, UniformU64};
 
 /// A seeded random source with convenience helpers.
 ///
@@ -58,6 +58,14 @@ impl SimRng {
     /// Panics if `lo > hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         self.inner.range_u64(lo, hi)
+    }
+
+    /// One draw from a prepared uniform range: the same value
+    /// [`SimRng::range_u64`] returns for that range, without re-deriving
+    /// its rejection zone.
+    #[inline]
+    pub fn sample(&mut self, dist: &UniformU64) -> u64 {
+        dist.sample(&mut self.inner)
     }
 
     /// Uniform `f64` in `[0, 1)`.

@@ -67,6 +67,55 @@ pub fn stream_unit(seed: u64, labels: &[u64]) -> f64 {
     (stream_seed(seed, labels) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// A uniform distribution over the inclusive range `[lo, hi]`, with the
+/// rejection zone worked out once.
+///
+/// [`Rng64::range_u64`] builds one per call; a caller that draws from
+/// the same fixed range on a hot path (the PRAM strobe windows) keeps
+/// one instead and saves the division behind the zone. Both draw the
+/// identical sequence from the same generator state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UniformU64 {
+    lo: u64,
+    /// `hi - lo + 1`, or 0 for the full `u64` range.
+    span: u64,
+    /// Draws at or above this are rejected: the zone is the largest
+    /// multiple of `span` that fits, so `v % span` is unbiased below it.
+    zone: u64,
+}
+
+impl UniformU64 {
+    /// The distribution over `[lo, hi]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub fn new(lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi, "empty range {lo}..={hi}");
+        let span = (hi - lo).wrapping_add(1);
+        let zone = if span == 0 {
+            u64::MAX
+        } else {
+            u64::MAX - (u64::MAX % span)
+        };
+        UniformU64 { lo, span, zone }
+    }
+
+    /// One bias-free draw.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng64) -> u64 {
+        if self.span == 0 {
+            return rng.next_u64();
+        }
+        loop {
+            let v = rng.next_u64();
+            if v < self.zone {
+                return self.lo + v % self.span;
+            }
+        }
+    }
+}
+
 /// A xoshiro256++ generator with convenience range/float helpers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rng64 {
@@ -123,20 +172,7 @@ impl Rng64 {
     ///
     /// Panics if `lo > hi`.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range {lo}..={hi}");
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        let span = span + 1;
-        // Rejection sampling over the largest multiple of `span`.
-        let zone = u64::MAX - (u64::MAX % span);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return lo + v % span;
-            }
-        }
+        UniformU64::new(lo, hi).sample(self)
     }
 
     /// Uniform `usize` in `[lo, hi]` (inclusive).
@@ -247,6 +283,68 @@ mod tests {
             }
         }
         assert!(seen_lo && seen_hi);
+    }
+
+    /// The rejection sampler as `range_u64` wrote it inline before the
+    /// zone was hoisted into [`UniformU64`].
+    fn range_reference(rng: &mut Rng64, lo: u64, hi: u64) -> u64 {
+        let span = hi - lo;
+        if span == u64::MAX {
+            return rng.next_u64();
+        }
+        let span = span + 1;
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return lo + v % span;
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_sampler_draws_the_reference_sequence() {
+        // Spans from one value to the whole u64 range, including spans
+        // just past 2^63 where about half the draws are rejected, plus
+        // the tDQSCK/tDQSS windows of Table II.
+        let fixed = [
+            (0, 0),
+            (7, 7),
+            (2_500, 5_500),
+            (500, 1_250),
+            (0, u64::MAX),
+            (1, u64::MAX),
+            (0, u64::MAX - 1),
+            (0, 1 << 63),
+            (3, (1 << 63) + 3),
+            (u64::MAX, u64::MAX),
+        ];
+        crate::for_each_case!(64, |rng| {
+            let (lo, hi) = if rng.chance(0.5) {
+                fixed[rng.range_usize(0, fixed.len() - 1)]
+            } else {
+                let a = rng.next_u64() >> rng.range_u64(0, 63);
+                let b = rng.next_u64() >> rng.range_u64(0, 63);
+                (a.min(b), a.max(b))
+            };
+            let dist = UniformU64::new(lo, hi);
+            let seed = rng.next_u64();
+            let (mut hoisted, mut reference) = (Rng64::seed(seed), Rng64::seed(seed));
+            for _ in 0..256 {
+                assert_eq!(
+                    dist.sample(&mut hoisted),
+                    range_reference(&mut reference, lo, hi),
+                    "range {lo}..={hi}"
+                );
+            }
+            assert_eq!(hoisted, reference, "both consumed the same draws");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn inverted_ranges_are_rejected() {
+        UniformU64::new(5, 4);
     }
 
     #[test]
